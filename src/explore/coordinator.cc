@@ -15,6 +15,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -31,7 +32,6 @@
 #include "explore/protocol.hh"
 #include "explore/worker.hh"
 #include "ift/checkpoint.hh"
-#include "ift/engine_stats.hh"
 #include "ift/path_sim.hh"
 
 namespace glifs::explore
@@ -139,44 +139,14 @@ struct WorkerSlot
 };
 
 /**
- * The state of one parallel run. Exploration state (ps, gov, table,
- * tree, log, stack, counters, ladder) mirrors the serial engine's
- * RunCtx field for field; everything below `workers` is the
- * speculation machinery, which only ever changes *when* a segment is
- * simulated, never what it computes.
+ * The worker fleet, as the driver's segment source (DESIGN.md §11).
+ * It only ever changes *when* a segment is simulated, never what it
+ * computes: the driver in ift/engine.cc owns the run and applies every
+ * segment, fetched or inline, in serial order.
  */
-struct Coord
+struct Fleet final : SegmentSource
 {
-    const Soc &soc;
     const ExploreConfig &xcfg;
-    PathSim ps;
-    ViolationLog log;
-    StateTable table;
-    ExecTree tree;
-    ResourceGovernor gov;
-
-    struct Entry
-    {
-        SymState state;
-        uint32_t node = 0;
-        /** Continuation of a path the serial loop would run through
-         *  inline (commit with visit != Subsumed and a concrete PC):
-         *  popped without the per-path accounting. */
-        bool cont = false;
-        std::string dg; ///< lazily memoized stateDigest(state)
-    };
-    std::vector<Entry> stack;
-    BitPlane everTainted;
-
-    uint64_t totalCycles = 0;
-    uint64_t pathsExplored = 0;
-    bool budgetHit = false;
-    size_t branchPoints = 0;
-
-    DegradeLevel level = DegradeLevel::None;
-    std::vector<Degradation> degradations;
-
-    // --- speculation machinery ---------------------------------------
     std::vector<WorkerSlot> workers;
     std::vector<pid_t> pendingReap;
     std::unordered_map<std::string, SegmentResult> cache;
@@ -186,70 +156,59 @@ struct Coord
     uint64_t fingerprint = 0;
     uint32_t nextSeq = 1;
     double meanInlineUs = 2000.0; ///< rolling mean of inline segments
+    /** When the last miss handed a segment back to inline execution. */
+    std::optional<std::chrono::steady_clock::time_point> missAt;
     bool shippingOk = true;       ///< false after a work-unit I/O error
 
-    Coord(const Soc &s, const Policy &p, const EngineConfig &c,
-          const ExploreConfig &x, const ProgramImage &img)
-        : soc(s), xcfg(x), ps(s, p, c, img), gov(c.budgets),
-          everTainted(s.netlist().numNets())
+    Fleet(const Soc &soc, const ExploreConfig &x, const ProgramImage &img)
+        : xcfg(x), workers(x.jobs - 1),
+          fingerprint(checkpointFingerprint(
+              img, SymLayout(soc.netlist()).slots(),
+              soc.netlist().numNets()))
     {
     }
 
-    ~Coord() { shutdownWorkers(); }
+    ~Fleet() override { shutdownWorkers(); }
 
+    /**
+     * Spin up the fleet (after construction, so the destructor reaps
+     * whatever a throw leaves behind). Losing the scratch dir or every
+     * worker is not fatal: the driver's inline path is always
+     * sufficient. A worker dying with work queued must surface as
+     * EPIPE on the next ctl write (-> markDead + reshard), never as a
+     * coordinator-killing SIGPIPE.
+     */
     void
-    recordDegradation(DegradeLevel lvl, ResourceKind trigger,
-                      BudgetSeverity severity, uint16_t instr_addr,
-                      std::string detail)
+    start()
     {
-        Degradation d;
-        d.level = lvl;
-        d.trigger = trigger;
-        d.severity = severity;
-        d.cycle = totalCycles;
-        d.instrAddr = instr_addr;
-        d.detail = std::move(detail);
-        ++engineStats().escalations;
-        GLIFS_TRACE_INSTANT_ARGS(
-            "engine", "degrade",
-            add("level", degradeLevelName(lvl))
-                .add("trigger", resourceKindName(trigger))
-                .add("severity",
-                     severity == BudgetSeverity::Hard ? "hard"
-                                                      : "soft")
-                .add("cycle", totalCycles)
-                .add("instr", hex16(instr_addr)));
-        degradations.push_back(std::move(d));
-    }
-
-    enum class Escalation
-    {
-        Widened,
-        KillPath,
-    };
-
-    Escalation
-    escalate(const BudgetEvent &ev, uint16_t instr_addr)
-    {
-        if (level == DegradeLevel::None) {
-            level = DegradeLevel::WidenedMerging;
-            ps.cfg.preciseJumpTargets = false;
-            recordDegradation(DegradeLevel::WidenedMerging, ev.kind,
-                              ev.severity, instr_addr, ev.detail);
-            return Escalation::Widened;
+        std::signal(SIGPIPE, SIG_IGN);
+        char dirTemplate[] = "/tmp/glifs-explore-XXXXXX";
+        if (::mkdtemp(dirTemplate)) {
+            workDir = dirTemplate;
+        } else {
+            GLIFS_WARN("explore: cannot create scratch dir; running "
+                      "without speculation");
+            shippingOk = false;
         }
-        level = DegradeLevel::StarLogicPath;
-        recordDegradation(DegradeLevel::StarLogicPath, ev.kind,
-                          ev.severity, instr_addr, ev.detail);
-        return Escalation::KillPath;
+        trace::Tracer &tr = trace::Tracer::instance();
+        if (tr.enabled())
+            tr.threadName(1, "coordinator");
+        for (size_t i = 0; shippingOk && i < workers.size(); ++i) {
+            try {
+                spawnWorker(i);
+            } catch (const RecoverableError &e) {
+                GLIFS_WARN("explore: worker ", i,
+                          " failed to start: ", e.what());
+            }
+        }
     }
 
     const std::string &
-    digestOf(Entry &e)
+    digestOf(FrontierEntry &e)
     {
-        if (e.dg.empty())
-            e.dg = stateDigest(e.state);
-        return e.dg;
+        if (e.digest.empty())
+            e.digest = stateDigest(e.state);
+        return e.digest;
     }
 
     // --- worker lifecycle --------------------------------------------
@@ -716,9 +675,9 @@ struct Coord
     }
 
     void
-    scheduleShipping()
+    scheduleShipping(std::vector<FrontierEntry> &frontier)
     {
-        if (!shippingOk || !anyAlive() || stack.size() < 2)
+        if (!shippingOk || !anyAlive() || frontier.empty())
             return;
         const size_t perWorker =
             xcfg.chunkEntries * (xcfg.maxOutstanding + 1);
@@ -733,16 +692,16 @@ struct Coord
                 deficit += perWorker - l;
         }
 
-        // Walk down from just below the top of the stack (the top is
-        // the coordinator's own next pop): LIFO order means these are
-        // the soonest-needed entries. The scan is bounded so a huge
+        // Walk down from the top of the stack (the entry just popped is
+        // the driver's own): LIFO order means these are the
+        // soonest-needed entries. The scan is bounded so a huge
         // frontier does not turn every iteration into a full sweep.
         size_t scanned = 0;
         const size_t scanCap = std::max<size_t>(4 * deficit, 64);
-        for (size_t i = stack.size() - 1;
+        for (size_t i = frontier.size();
              i-- > 0 && deficit > 0 && scanned < scanCap;) {
             ++scanned;
-            Entry &e = stack[i];
+            FrontierEntry &e = frontier[i];
             if (e.cont)
                 continue;
             const std::string &dg = digestOf(e);
@@ -831,366 +790,43 @@ struct Coord
         return cache.count(dg) > 0;
     }
 
-    // --- the authoritative serial apply ------------------------------
+    // --- the driver's hook -------------------------------------------
 
-    /**
-     * Whether a cached segment of @p segCycles cycles can be applied
-     * without changing what the serial engine would have done: the
-     * serial loop polls the cycle budgets at the top of *every* cycle,
-     * so a segment that crosses a threshold mid-flight must be re-run
-     * inline under the real governor (which stops or degrades at the
-     * exact cycle). Wall-clock/RSS dimensions fire at segment
-     * boundaries instead of mid-segment -- those are timing-dependent
-     * in the serial engine already (DESIGN.md §11).
-     */
-    bool
-    cacheUsable(const SegmentResult &seg) const
+    const SegmentResult *
+    segmentFor(FrontierEntry &top, std::vector<FrontierEntry> &frontier,
+               uint64_t cycleRoom) override
     {
-        for (uint64_t t : {ps.cfg.budgets.softCycles,
-                           ps.cfg.budgets.hardCycles}) {
-            if (t && totalCycles < t &&
-                totalCycles + seg.cycles >= t) {
-                return false;
-            }
+        if (missAt) {
+            // The driver has simulated the last miss inline since.
+            const double us = std::chrono::duration<double, std::micro>(
+                                  std::chrono::steady_clock::now() -
+                                  *missAt)
+                                  .count();
+            meanInlineUs = 0.9 * meanInlineUs + 0.1 * us;
+            missAt.reset();
         }
-        return true;
-    }
+        exStats().frontierSize.set(
+            static_cast<double>(frontier.size() + 1));
+        drainResults(0);
+        respawnDead();
+        scheduleShipping(frontier);
 
-    /**
-     * Fold one finished segment into the authoritative run state, in
-     * exactly the order the serial loop would have: taint, violations
-     * (rebased onto the global clock), POR forks, then the
-     * end-of-segment commit handling (HALT / state-table visit /
-     * branch enumeration / inline continuation).
-     *
-     * @p liveSim is true when the segment was just simulated inline,
-     * so the simulator already holds the segment's end state; cached
-     * applies restore it on the rare paths that read the simulator
-     * (memory-invariant scan at subsumption).
-     */
-    void
-    apply(const Entry &e, const SegmentResult &seg, uint64_t c0,
-          bool liveSim)
-    {
-        EngineStats &es = engineStats();
-        trace::Tracer &tr = trace::Tracer::instance();
-
-        if (ps.cfg.trackTaintedNets && seg.taintDelta.size() > 0)
-            everTainted.orWith(seg.taintDelta);
-        for (const Violation &v : seg.violations) {
-            Violation gv = v;
-            gv.firstCycle += c0;
-            log.merge(gv);
+        const std::string &dg = digestOf(top);
+        auto hit = cache.find(dg);
+        if (hit == cache.end() && inFlight.count(dg) && waitForTop(dg))
+            hit = cache.find(dg);
+        if (hit == cache.end() && queuedDigests.count(dg)) {
+            // About to run it inline; no point having a worker
+            // duplicate the effort.
+            dropQueued(dg);
         }
-        for (const SegmentPorFork &f : seg.porForks) {
-            ++branchPoints;
-            ++es.branchPoints;
-            ++es.porForks;
-            uint32_t cn = tree.addNode(e.node, f.startPc);
-            stack.push_back(Entry{f.fired, cn, false, {}});
+        if (hit != cache.end() && hit->second.cycles < cycleRoom) {
+            ++exStats().cacheHits;
+            return &hit->second;
         }
-
-        if (seg.halted) {
-            // The worker (or inline segment) already ran the halt
-            // memory-invariant scan into seg.violations.
-            tree.node(e.node).end = PathEnd::Halted;
-            tree.node(e.node).endInstr = seg.endInstr;
-            return;
-        }
-
-        const uint16_t instr_addr = seg.endInstr;
-        const uint16_t fsm = seg.endFsm;
-        // visit() mutates the probe state in place on a merge; cached
-        // results must stay pristine for later identical pops.
-        SymState cur = seg.end;
-        const uint32_t table_key =
-            (static_cast<uint32_t>(instr_addr) << 4) | fsm;
-        StateTable::Visit visit =
-            ps.cfg.disableMerging ? StateTable::Visit::New
-                                  : table.visit(table_key, cur);
-        gov.noteStates(table.size());
-        if (tr.enabled()) {
-            static const char *const visitNames[] = {
-                "new", "subsumed", "merged"};
-            tr.instant("engine", "visit",
-                       trace::Args()
-                           .add("instr", hex16(instr_addr))
-                           .add("fsm",
-                                static_cast<uint64_t>(fsm))
-                           .add("result",
-                                visitNames[static_cast<int>(
-                                    visit)])
-                           .add("cycle", totalCycles)
-                           .str());
-        }
-        if (visit == StateTable::Visit::Subsumed) {
-            tree.node(e.node).end = PathEnd::Subsumed;
-            tree.node(e.node).endInstr = instr_addr;
-            if (!liveSim) {
-                // The scan below reads the data-memory cells out of
-                // the simulator; put the segment's end state there.
-                seg.end.restore(ps.layout, ps.sim.state());
-                ps.sim.markAllDirty();
-            }
-            ps.checker.checkMemoryInvariant(ps.sim, instr_addr,
-                                            totalCycles, log);
-            return;
-        }
-
-        const size_t pc_xbits = ps.statePcXBits(cur).size();
-        if (pc_xbits > 0) {
-            if (ps.cfg.budgets.softBranchBits &&
-                pc_xbits > ps.cfg.budgets.softBranchBits &&
-                level == DegradeLevel::None) {
-                BudgetEvent ev{ResourceKind::BranchFanout,
-                               BudgetSeverity::Soft,
-                               detail::concat(
-                                   pc_xbits,
-                                   " unknown PC bits at ",
-                                   hex16(instr_addr))};
-                escalate(ev, instr_addr);
-            }
-
-            bool overflow = false;
-            std::vector<uint16_t> pcs =
-                ps.candidatePcs(instr_addr, cur, overflow);
-            if (overflow) {
-                recordDegradation(
-                    DegradeLevel::StarLogicPath,
-                    ResourceKind::BranchFanout,
-                    BudgetSeverity::Hard, instr_addr,
-                    detail::concat(
-                        pc_xbits, " unknown PC bits exceed ",
-                        ps.cfg.maxBranchBits,
-                        " (consider masking the target)"));
-                // starSaturate overwrites every flop, memory cell and
-                // input before settling, so it needs no particular
-                // simulator state to start from.
-                ps.starSaturate(&everTainted);
-                tree.node(e.node).end = PathEnd::Degraded;
-                tree.node(e.node).endInstr = instr_addr;
-                return;
-            }
-            ++branchPoints;
-            ++es.branchPoints;
-            ++es.pcFanouts;
-            es.fanoutWidth.sample(
-                static_cast<double>(pcs.size()));
-            GLIFS_TRACE_INSTANT_ARGS(
-                "engine", "branch",
-                add("instr", hex16(instr_addr))
-                    .add("successors",
-                         static_cast<uint64_t>(pcs.size()))
-                    .add("cycle", totalCycles));
-            for (uint16_t pc : pcs) {
-                uint32_t cn = tree.addNode(e.node, pc);
-                stack.push_back(Entry{
-                    ps.concretizePc(cur, pc), cn, false, {}});
-            }
-            es.frontierPeak.set(
-                static_cast<double>(stack.size()));
-            gov.noteFrontier(stack.size());
-            tree.node(e.node).end = PathEnd::Branched;
-            tree.node(e.node).endInstr = instr_addr;
-            return;
-        }
-
-        // Commit with a concrete PC and visit != Subsumed: the serial
-        // loop keeps simulating this path inline. Model that as a
-        // continuation entry -- popped right back off the stack
-        // without the per-path accounting.
-        stack.push_back(Entry{std::move(cur), e.node, true, {}});
-    }
-
-    // --- the main loop -----------------------------------------------
-
-    void
-    exploreLoop()
-    {
-        EngineStats &es = engineStats();
-        trace::Tracer &tr = trace::Tracer::instance();
-        const SocProbes &prb = soc.probes();
-
-        while (!stack.empty() && !budgetHit) {
-            exStats().frontierSize.set(
-                static_cast<double>(stack.size()));
-            drainResults(0);
-            respawnDead();
-            scheduleShipping();
-
-            Entry e = std::move(stack.back());
-            stack.pop_back();
-            if (!e.cont) {
-                ++pathsExplored;
-                ++es.paths;
-                es.frontierDepth.sample(
-                    static_cast<double>(stack.size()));
-                es.frontierPeak.set(
-                    static_cast<double>(stack.size() + 1));
-                gov.noteFrontier(stack.size() + 1);
-                if (tr.enabled()) {
-                    tr.instant(
-                        "engine", "pop",
-                        trace::Args()
-                            .add("node",
-                                 static_cast<uint64_t>(e.node))
-                            .add("pc",
-                                 hex16(ps.statePcBase(e.state)))
-                            .add("stack",
-                                 static_cast<uint64_t>(
-                                     stack.size()))
-                            .str());
-                }
-            }
-            GLIFS_ASSERT(ps.statePcXBits(e.state).empty(),
-                         "execution point with unknown PC");
-
-            // Put the simulator exactly where the serial loop's would
-            // be at its top-of-path governor poll.
-            e.state.restore(ps.layout, ps.sim.state());
-            ps.sim.markAllDirty();
-
-            const std::string &dg = digestOf(e);
-            auto hit = cache.find(dg);
-            if (hit == cache.end() && inFlight.count(dg) &&
-                waitForTop(dg)) {
-                hit = cache.find(dg);
-            }
-            if (hit == cache.end() && queuedDigests.count(dg)) {
-                // About to run it ourselves; no point having a worker
-                // duplicate the effort.
-                dropQueued(dg);
-            }
-
-            const uint64_t c0 = totalCycles;
-            if (hit != cache.end() && cacheUsable(hit->second)) {
-                ++exStats().cacheHits;
-                const SegmentResult &seg = hit->second;
-                // The serial loop's first governor poll of the path.
-                if (auto ev = gov.poll()) {
-                    const uint16_t at =
-                        ps.tryBusValue(prb.instrAddrQ);
-                    if (ev->severity == BudgetSeverity::Hard) {
-                        recordDegradation(
-                            DegradeLevel::PartialStop, ev->kind,
-                            ev->severity, at, ev->detail);
-                        budgetHit = true;
-                        tree.node(e.node).end = PathEnd::Budget;
-                        tree.node(e.node).endInstr = at;
-                        if (ps.cfg.checkpointOnStop) {
-                            stack.push_back(Entry{
-                                std::move(e.state), e.node,
-                                false, std::move(e.dg)});
-                            --pathsExplored;
-                        }
-                        continue;
-                    }
-                    if (escalate(*ev, at) ==
-                        Escalation::KillPath) {
-                        ps.starSaturate(&everTainted);
-                        tree.node(e.node).end =
-                            PathEnd::Degraded;
-                        tree.node(e.node).endInstr = at;
-                        continue;
-                    }
-                }
-                totalCycles += seg.cycles;
-                es.cycles += seg.cycles;
-                gov.chargeCycles(seg.cycles);
-                tree.node(e.node).cycles += seg.cycles;
-                apply(e, seg, c0, /*liveSim=*/false);
-                continue;
-            }
-
-            // Inline execution under the real governor -- this is the
-            // serial engine's own path loop, cycle for cycle.
-            ++exStats().cacheMisses;
-            SegmentHooks hooks;
-            hooks.cycleCharged = [&] {
-                ++totalCycles;
-                ++es.cycles;
-                gov.chargeCycles(1);
-                ++tree.node(e.node).cycles;
-            };
-            hooks.poll = [&]() -> CycleAction {
-                auto ev = gov.poll();
-                if (!ev)
-                    return CycleAction::Continue;
-                const uint16_t at =
-                    ps.tryBusValue(prb.instrAddrQ);
-                if (ev->severity == BudgetSeverity::Hard) {
-                    recordDegradation(DegradeLevel::PartialStop,
-                                      ev->kind, ev->severity, at,
-                                      ev->detail);
-                    budgetHit = true;
-                    tree.node(e.node).end = PathEnd::Budget;
-                    tree.node(e.node).endInstr = at;
-                    return CycleAction::Stop;
-                }
-                if (escalate(*ev, at) == Escalation::KillPath) {
-                    tree.node(e.node).end = PathEnd::Degraded;
-                    tree.node(e.node).endInstr = at;
-                    return CycleAction::Kill;
-                }
-                return CycleAction::Continue;
-            };
-
-            const auto tSeg = std::chrono::steady_clock::now();
-            SegmentResult seg = ps.runSegment(e.state, hooks);
-            const double segUs =
-                std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - tSeg)
-                    .count();
-            meanInlineUs = 0.9 * meanInlineUs + 0.1 * segUs;
-
-            if (seg.killed) {
-                // Taint/violations/forks observed before the kill
-                // still count, exactly as in the serial loop.
-                if (ps.cfg.trackTaintedNets &&
-                    seg.taintDelta.size() > 0)
-                    everTainted.orWith(seg.taintDelta);
-                for (const Violation &v : seg.violations) {
-                    Violation gv = v;
-                    gv.firstCycle += c0;
-                    log.merge(gv);
-                }
-                for (const SegmentPorFork &f : seg.porForks) {
-                    ++branchPoints;
-                    ++es.branchPoints;
-                    ++es.porForks;
-                    uint32_t cn = tree.addNode(e.node, f.startPc);
-                    stack.push_back(Entry{f.fired, cn, false, {}});
-                }
-                ps.starSaturate(&everTainted);
-                continue;
-            }
-            if (seg.stopped) {
-                if (ps.cfg.trackTaintedNets &&
-                    seg.taintDelta.size() > 0)
-                    everTainted.orWith(seg.taintDelta);
-                for (const Violation &v : seg.violations) {
-                    Violation gv = v;
-                    gv.firstCycle += c0;
-                    log.merge(gv);
-                }
-                for (const SegmentPorFork &f : seg.porForks) {
-                    ++branchPoints;
-                    ++es.branchPoints;
-                    ++es.porForks;
-                    uint32_t cn = tree.addNode(e.node, f.startPc);
-                    stack.push_back(Entry{f.fired, cn, false, {}});
-                }
-                if (ps.cfg.checkpointOnStop) {
-                    // Park the in-flight state for the snapshot; the
-                    // resumed run pops (and counts) it again.
-                    stack.push_back(Entry{std::move(seg.end),
-                                          e.node, false, {}});
-                    --pathsExplored;
-                }
-                continue;
-            }
-            apply(e, seg, c0, /*liveSim=*/true);
-        }
+        ++exStats().cacheMisses;
+        missAt = std::chrono::steady_clock::now();
+        return nullptr;
     }
 };
 
@@ -1200,209 +836,20 @@ ParallelEngine::ParallelEngine(const Soc &s, const Policy &p,
                                const EngineConfig &c, ExploreConfig x)
     : soc(s), policy(p), cfg(c), xcfg(std::move(x))
 {
-    GLIFS_ASSERT(xcfg.jobs >= 2,
-                 "ParallelEngine needs at least 2 jobs (use "
-                 "IftEngine for serial runs)");
-}
-
-EngineResult
-ParallelEngine::run(const ProgramImage &image)
-{
-    return run(image, nullptr);
+    // Workers rebuild their config from the CLI and never run the
+    // *-logic give-up, so *-logic runs stay serial.
+    GLIFS_ASSERT(xcfg.jobs >= 2 && !cfg.starLogicMode,
+                 "ParallelEngine needs at least 2 jobs and no *-logic "
+                 "mode (use IftEngine for serial runs)");
 }
 
 EngineResult
 ParallelEngine::run(const ProgramImage &image,
                     const EngineCheckpoint *resume)
 {
-    GLIFS_TRACE_SCOPE("engine", "run");
-    EngineStats &es = engineStats();
-    ++es.runs;
-    trace::Tracer &tr = trace::Tracer::instance();
-    const auto t0 = std::chrono::steady_clock::now();
-    const uint64_t traceT0 = tr.enabled() ? tr.nowUs() : 0;
-    auto secondsSince = [](std::chrono::steady_clock::time_point t) {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t)
-            .count();
-    };
-
-    // Same legacy-budget folding as the serial engine.
-    EngineConfig effective = cfg;
-    if (effective.maxCycles > 0 &&
-        (effective.budgets.hardCycles == 0 ||
-         effective.maxCycles < effective.budgets.hardCycles)) {
-        effective.budgets.hardCycles = effective.maxCycles;
-    }
-
-    Coord ctx(soc, policy, effective, xcfg, image);
-    EngineResult res;
-
-    if (effective.progressSeconds > 0 && effective.progressFn) {
-        ctx.gov.setHeartbeat(effective.progressSeconds,
-                             effective.progressFn);
-    }
-
-    ctx.ps.loadProgram();
-    ctx.fingerprint = checkpointFingerprint(
-        image, ctx.ps.layout.slots(), soc.netlist().numNets());
-
-    if (resume) {
-        if (resume->fingerprint != ctx.fingerprint) {
-            GLIFS_RECOVERABLE(
-                "checkpoint does not match this program image and "
-                "netlist (was the firmware or SoC changed?)");
-        }
-        if (resume->everTainted.size() != soc.netlist().numNets())
-            GLIFS_RECOVERABLE("checkpoint: tainted-net plane mismatch");
-
-        ctx.totalCycles = resume->totalCycles;
-        ctx.gov.chargeCycles(resume->totalCycles);
-        ctx.pathsExplored = resume->pathsExplored;
-        ctx.branchPoints = resume->branchPoints;
-        ctx.level = resume->level;
-        if (ctx.level >= DegradeLevel::WidenedMerging)
-            ctx.ps.cfg.preciseJumpTargets = false;
-        ctx.degradations = resume->degradations;
-        for (const Violation &v : resume->violations)
-            ctx.log.restore(v);
-        ctx.everTainted = resume->everTainted;
-        for (const auto &[key, state] : resume->table)
-            ctx.table.insertRestored(key, state);
-        ctx.table.setCounters(resume->merges, resume->subsumptions);
-        ctx.gov.noteStates(ctx.table.size());
-        ctx.tree.setNodes(resume->tree);
-        for (const auto &[state, node] : resume->frontier) {
-            ctx.stack.push_back(
-                Coord::Entry{state, node, false, {}});
-        }
-    } else {
-        // Algorithm 1 line 5: propagate the (untainted) reset.
-        ctx.ps.setInputs(true);
-        ctx.ps.sim.step();
-        ++ctx.totalCycles;
-        ++es.cycles;
-        ctx.gov.chargeCycles(1);
-
-        SymState s0(ctx.ps.layout);
-        s0.capture(ctx.ps.layout, ctx.ps.sim.state());
-        uint32_t root = ctx.tree.addNode(-1, 0);
-        ctx.stack.push_back(
-            Coord::Entry{std::move(s0), root, false, {}});
-    }
-
-    // Spin up the worker fleet. Losing the scratch dir or every
-    // worker is not fatal: the coordinator's inline path is always
-    // sufficient. A worker dying with work queued must surface as
-    // EPIPE on the next ctl write (-> markDead + reshard), never as
-    // a coordinator-killing SIGPIPE.
-    std::signal(SIGPIPE, SIG_IGN);
-    char dirTemplate[] = "/tmp/glifs-explore-XXXXXX";
-    if (::mkdtemp(dirTemplate)) {
-        ctx.workDir = dirTemplate;
-    } else {
-        GLIFS_WARN("explore: cannot create scratch dir; running "
-                  "without speculation");
-        ctx.shippingOk = false;
-    }
-    if (tr.enabled())
-        tr.threadName(1, "coordinator");
-    ctx.workers.resize(xcfg.jobs - 1);
-    if (ctx.shippingOk) {
-        for (size_t i = 0; i < ctx.workers.size(); ++i) {
-            try {
-                ctx.spawnWorker(i);
-            } catch (const RecoverableError &e) {
-                GLIFS_WARN("explore: worker ", i,
-                          " failed to start: ", e.what());
-            }
-        }
-    }
-
-    es.setupSeconds.add(secondsSince(t0));
-    if (tr.enabled())
-        tr.complete("engine", "setup", traceT0, tr.nowUs() - traceT0);
-    const auto tExplore = std::chrono::steady_clock::now();
-    const uint64_t traceTExplore = tr.enabled() ? tr.nowUs() : 0;
-
-    ctx.exploreLoop();
-    ctx.shutdownWorkers();
-
-    es.exploreSeconds.add(secondsSince(tExplore));
-    if (tr.enabled()) {
-        tr.complete("engine", "explore", traceTExplore,
-                    tr.nowUs() - traceTExplore);
-    }
-    const auto tFinalize = std::chrono::steady_clock::now();
-    const uint64_t traceTFinalize = tr.enabled() ? tr.nowUs() : 0;
-
-    res.completed = ctx.stack.empty() && !ctx.budgetHit;
-    res.starAborted = false;
-    res.cyclesSimulated = ctx.totalCycles;
-    res.pathsExplored = ctx.pathsExplored;
-    res.branchPoints = ctx.branchPoints;
-    res.merges = ctx.table.merges();
-    res.subsumptions = ctx.table.subsumptions();
-    res.statesTracked = ctx.table.size();
-    res.violations = ctx.log.list();
-    res.degradations = ctx.degradations;
-
-    if (ctx.budgetHit && ctx.ps.cfg.checkpointOnStop) {
-        auto ckpt = std::make_shared<EngineCheckpoint>();
-        ckpt->fingerprint = ctx.fingerprint;
-        ckpt->totalCycles = ctx.totalCycles;
-        ckpt->pathsExplored = ctx.pathsExplored;
-        ckpt->branchPoints = ctx.branchPoints;
-        ckpt->merges = ctx.table.merges();
-        ckpt->subsumptions = ctx.table.subsumptions();
-        ckpt->level = ctx.level;
-        for (const Degradation &d : ctx.degradations) {
-            if (d.level != DegradeLevel::PartialStop)
-                ckpt->degradations.push_back(d);
-        }
-        ckpt->violations = res.violations;
-        ckpt->everTainted = ctx.everTainted;
-        ckpt->table.reserve(ctx.table.entries().size());
-        for (const auto &[key, state] : ctx.table.entries())
-            ckpt->table.emplace_back(key, state);
-        ckpt->frontier.reserve(ctx.stack.size());
-        for (const Coord::Entry &e : ctx.stack)
-            ckpt->frontier.emplace_back(e.state, e.node);
-        ckpt->tree = ctx.tree.all();
-        res.checkpoint = std::move(ckpt);
-    }
-
-    res.tree = std::move(ctx.tree);
-
-    if (!cfg.starLogicMode) {
-        const Netlist &nl = soc.netlist();
-        size_t tainted = 0;
-        size_t total = 0;
-        for (const Gate &g : nl.gates()) {
-            if (g.type != GateType::Comb && g.type != GateType::Dff)
-                continue;
-            ++total;
-            if (ctx.everTainted.get(g.out))
-                ++tainted;
-        }
-        res.taintedGates = tainted;
-        res.totalGates = total;
-    }
-    res.taintedGateFraction =
-        res.totalGates == 0
-            ? 0.0
-            : static_cast<double>(res.taintedGates) / res.totalGates;
-
-    es.finalizeSeconds.add(secondsSince(tFinalize));
-    if (tr.enabled()) {
-        tr.complete("engine", "finalize", traceTFinalize,
-                    tr.nowUs() - traceTFinalize);
-    }
-
-    const auto t1 = std::chrono::steady_clock::now();
-    res.analysisSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    return res;
+    Fleet fleet(soc, xcfg, image);
+    fleet.start();
+    return IftEngine(soc, policy, cfg).run(image, resume, &fleet);
 }
 
 } // namespace glifs::explore

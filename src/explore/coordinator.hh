@@ -2,17 +2,17 @@
  * @file
  * Work-stealing parallel symbolic exploration (DESIGN.md §11).
  *
- * The coordinator owns the authoritative serial exploration: the LIFO
- * frontier, the conservative state table, the governor, the violation
- * log and the execution tree all live here, and every segment's
- * *effects* are applied in exactly the order the serial engine would
- * produce them. Worker processes only ever execute segments
- * speculatively -- pure functions of their start state
+ * ParallelEngine runs the engine's one Algorithm-1 driver
+ * (IftEngine::run) with a worker fleet plugged in as its
+ * SegmentSource. The driver keeps the authoritative run -- frontier,
+ * state table, governor, violation log, execution tree -- and applies
+ * every segment in serial order. Worker processes only ever execute
+ * segments speculatively -- pure functions of their start state
  * (ift/path_sim.hh) -- and publish the results into a digest-keyed
- * cache. When the serial apply reaches a state whose digest is cached,
- * it consumes the result instead of re-simulating; when it is not (or
- * the cached result would cross a budget threshold mid-segment), the
- * coordinator simulates inline under the real governor. The verdict,
+ * cache. When the driver pops a state whose digest is cached, the
+ * fleet hands it the result instead of letting it re-simulate; when
+ * it is not (or the result would cross a cycle budget mid-segment),
+ * the driver simulates inline under the real governor. The verdict,
  * violation set, cycle counts and execution tree are therefore
  * bit-identical to the serial engine for every job count, and progress
  * never depends on any worker staying alive.
@@ -60,8 +60,9 @@ struct ExploreConfig
 };
 
 /**
- * Drop-in parallel replacement for IftEngine::run. Same inputs, same
- * EngineResult contract, deterministically identical output.
+ * IftEngine::run with the worker fleet as its segment source. Same
+ * inputs, same EngineResult contract, deterministically identical
+ * output.
  */
 class ParallelEngine
 {
@@ -69,9 +70,8 @@ class ParallelEngine
     ParallelEngine(const Soc &s, const Policy &p, const EngineConfig &c,
                    ExploreConfig x);
 
-    EngineResult run(const ProgramImage &image);
     EngineResult run(const ProgramImage &image,
-                     const EngineCheckpoint *resume);
+                     const EngineCheckpoint *resume = nullptr);
 
   private:
     const Soc &soc;

@@ -19,7 +19,8 @@ namespace
 {
 
 constexpr char kMagic[8] = {'G', 'L', 'F', 'S', 'S', 'E', 'G', 'R'};
-constexpr uint32_t kVersion = 1;
+/** v2 added each POR fork's instruction and cycle. */
+constexpr uint32_t kVersion = 2;
 
 enum SegFlag : uint8_t
 {
@@ -120,6 +121,8 @@ saveSegmentResults(const std::string &path, uint64_t fingerprint,
         w.u32(static_cast<uint32_t>(s.porForks.size()));
         for (const SegmentPorFork &f : s.porForks) {
             w.u16(f.startPc);
+            w.u16(f.instr);
+            w.u64(f.cycle);
             w.symstate(f.fired);
         }
         if (s.taintDelta.size() > 0)
@@ -218,6 +221,8 @@ loadSegmentResults(const std::string &path, uint64_t fingerprint)
         for (uint32_t j = 0; j < npor; ++j) {
             SegmentPorFork f;
             f.startPc = r.u16();
+            f.instr = r.u16();
+            f.cycle = r.u64();
             f.fired = r.symstate();
             s.porForks.push_back(std::move(f));
         }

@@ -33,8 +33,7 @@ sendLine(const std::string &line)
 /**
  * Run the segment chain for one shipped execution point: the segment
  * itself, then speculative continuations while each link ends at a
- * commit with a concrete PC (the serial engine's continue-inline
- * case). Every link is recorded under its own start digest.
+ * commit with a concrete PC (the driver's continuation case). Every link is recorded under its own start digest.
  */
 void
 runChain(PathSim &ps, const SymState &start, uint64_t cycleCap,

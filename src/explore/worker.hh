@@ -14,9 +14,9 @@
  *
  * For every shipped execution point the worker runs the segment, then
  * speculatively *chains*: as long as a segment ends at a commit with a
- * concrete PC (the case the serial engine continues inline), the next
+ * concrete PC (the driver's continuation case), the next
  * segment is run from its end state, up to a chain cap. Each link is
- * reported under its own start-state digest, so the coordinator's
+ * reported under its own start-state digest, so the driver's
  * strictly-serial apply consumes exactly the prefix of the chain that
  * the authoritative state table agrees with and prunes the rest.
  *
@@ -47,7 +47,7 @@ constexpr unsigned kChainSegments = 8;
  * Serve work units until `q` or EOF on fd 0. cfg.maxCycles bounds the
  * simulated cycles per shipped entry (chain total); a segment still
  * running at the cap is reported as overrun and re-executed inline by
- * the coordinator under the real governor. Returns the process exit
+ * the driver under the real governor. Returns the process exit
  * code.
  */
 int workerMain(const Soc &soc, const Policy &policy,

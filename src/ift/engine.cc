@@ -1,8 +1,11 @@
 #include "ift/engine.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <tuple>
 
 #include "base/logging.hh"
 #include "base/stats.hh"
@@ -86,16 +89,18 @@ EngineResult::summary() const
 namespace
 {
 
-/** Everything one run() invocation needs. */
+/** Everything one run() invocation needs: the authoritative run state
+ *  every segment is folded into. */
 struct RunCtx
 {
     PathSim ps; ///< sim, layout, checker and the Algorithm-1 helpers
+    SegmentSource *source; ///< optional; nullptr simulates everything
 
     ViolationLog log;
     StateTable table;
     ExecTree tree;
     ResourceGovernor gov;
-    std::vector<std::pair<SymState, uint32_t>> stack;  // state, node
+    std::vector<FrontierEntry> stack;
     BitPlane everTainted;
 
     uint64_t totalCycles = 0;
@@ -103,13 +108,15 @@ struct RunCtx
     bool starAborted = false;
     bool budgetHit = false;
     size_t branchPoints = 0;
+    /** Tainted and total gates after the *-logic give-up. */
+    std::pair<size_t, size_t> starGates;
 
     DegradeLevel level = DegradeLevel::None;
     std::vector<Degradation> degradations;
 
     RunCtx(const Soc &s, const Policy &p, const EngineConfig &c,
-           const ProgramImage &img)
-        : ps(s, p, c, img), gov(c.budgets),
+           const ProgramImage &img, SegmentSource *src)
+        : ps(s, p, c, img), source(src), gov(c.budgets),
           everTainted(s.netlist().numNets())
     {
     }
@@ -166,6 +173,299 @@ struct RunCtx
                           ev.severity, instr_addr, ev.detail);
         return Escalation::KillPath;
     }
+
+    void
+    endPath(uint32_t node, PathEnd end, uint16_t instr)
+    {
+        tree.node(node).end = end;
+        tree.node(node).endInstr = instr;
+    }
+
+    /**
+     * Resource governance before every simulated cycle: soft
+     * exhaustion degrades in place; hard exhaustion stops with a
+     * partial result (and a resumable snapshot of the frontier) --
+     * never a fatal. @p unrestored is the path's start state when the
+     * simulator does not hold it (a fetched segment): the degradation
+     * record reads the executing instruction out of the simulator.
+     */
+    CycleAction
+    pollBudgets(uint32_t node, const SymState *unrestored)
+    {
+        std::optional<BudgetEvent> ev = gov.poll();
+        if (!ev)
+            return CycleAction::Continue;
+        if (unrestored) {
+            unrestored->restore(ps.layout, ps.sim.state());
+            ps.sim.markAllDirty();
+        }
+        const uint16_t at = ps.tryBusValue(ps.soc.probes().instrAddrQ);
+        if (ev->severity == BudgetSeverity::Hard) {
+            recordDegradation(DegradeLevel::PartialStop, ev->kind,
+                              ev->severity, at, ev->detail);
+            budgetHit = true;
+            endPath(node, PathEnd::Budget, at);
+            return CycleAction::Stop;
+        }
+        if (escalate(*ev, at) == Escalation::KillPath) {
+            // *-logic the offending path: the caller saturates it to
+            // tainted-X and terminates it conservatively.
+            endPath(node, PathEnd::Degraded, at);
+            return CycleAction::Kill;
+        }
+        return CycleAction::Continue;
+    }
+
+    /** Hard stop mid-path: park the in-flight state back on the
+     *  frontier so the snapshot resumes it; it will be popped (and
+     *  counted) again. */
+    void
+    park(SymState state, uint32_t node)
+    {
+        if (!ps.cfg.checkpointOnStop)
+            return;
+        stack.push_back({std::move(state), node});
+        --pathsExplored;
+    }
+
+    /**
+     * Cycles a fetched segment may span: budgets are polled before
+     * every cycle, so a segment that would cross a cycle budget
+     * mid-flight runs inline, where the stop or escalation lands on
+     * the exact cycle. Wall-clock and RSS budgets fire at the next
+     * segment boundary instead (DESIGN.md §11).
+     */
+    uint64_t
+    cycleRoom() const
+    {
+        uint64_t room = std::numeric_limits<uint64_t>::max();
+        for (uint64_t t :
+             {ps.cfg.budgets.softCycles, ps.cfg.budgets.hardCycles}) {
+            if (t > totalCycles)
+                room = std::min(room, t - totalCycles);
+        }
+        return room;
+    }
+
+    /** Algorithm 1: pop, simulate (or fetch) one segment, apply it. */
+    void
+    explore()
+    {
+        EngineStats &es = engineStats();
+        trace::Tracer &tr = trace::Tracer::instance();
+        uint32_t node = 0;
+        SegmentHooks hooks;
+        hooks.poll = [&] { return pollBudgets(node, nullptr); };
+        hooks.cycleCharged = [&] {
+            ++totalCycles;
+            ++es.cycles;
+            gov.chargeCycles(1);
+            ++tree.node(node).cycles;
+        };
+
+        while (!stack.empty() && !budgetHit && !starAborted) {
+            FrontierEntry e = std::move(stack.back());
+            stack.pop_back();
+            node = e.node;
+            if (!e.cont) {
+                ++pathsExplored;
+                ++es.paths;
+                es.frontierDepth.sample(
+                    static_cast<double>(stack.size()));
+                es.frontierPeak.set(
+                    static_cast<double>(stack.size() + 1));
+                gov.noteFrontier(stack.size() + 1);
+                if (tr.enabled()) {
+                    tr.instant(
+                        "engine", "pop",
+                        trace::Args()
+                            .add("node", static_cast<uint64_t>(node))
+                            .add("pc", hex16(ps.statePcBase(e.state)))
+                            .add("stack",
+                                 static_cast<uint64_t>(stack.size()))
+                            .str());
+                }
+            }
+            // Children are pushed concretized; defensive check.
+            GLIFS_ASSERT(ps.statePcXBits(e.state).empty(),
+                         "execution point with unknown PC");
+
+            const uint64_t c0 = totalCycles;
+            const SegmentResult *fetched =
+                source ? source->segmentFor(e, stack, cycleRoom())
+                       : nullptr;
+            if (!fetched) {
+                SegmentResult seg = ps.runSegment(e.state, hooks, c0);
+                apply(node, seg, std::move(seg.end), c0, true);
+                continue;
+            }
+            // A fetched segment gets only the first of its governor
+            // polls: cycleRoom() keeps cycle budgets from firing inside
+            // it, and timing budgets wait for the next segment.
+            switch (pollBudgets(node, &e.state)) {
+            case CycleAction::Stop:
+                park(std::move(e.state), node);
+                break;
+            case CycleAction::Kill:
+                ps.starSaturate(&everTainted);
+                break;
+            case CycleAction::Continue:
+                totalCycles += fetched->cycles;
+                es.cycles += fetched->cycles;
+                gov.chargeCycles(fetched->cycles);
+                tree.node(node).cycles += fetched->cycles;
+                // A copy: the source's result stays pristine for later
+                // pops of the same state.
+                apply(node, *fetched, fetched->end, c0, false);
+                break;
+            }
+        }
+    }
+
+    /**
+     * Fold one segment into the run in the order its cycles happened:
+     * taint, violations (rebased onto the global clock), POR forks,
+     * then the segment end -- budget stop or kill, *-logic give-up,
+     * HALT, or the commit's state-table visit followed by PC fan-out
+     * or continuation. @p end is the segment's end state (apply never
+     * reads seg.end); @p simHoldsEnd says whether the simulator still
+     * holds it.
+     */
+    void
+    apply(uint32_t node, const SegmentResult &seg, SymState end,
+          uint64_t c0, bool simHoldsEnd)
+    {
+        EngineStats &es = engineStats();
+        if (ps.cfg.trackTaintedNets && seg.taintDelta.size() > 0)
+            everTainted.orWith(seg.taintDelta);
+        for (Violation v : seg.violations) {
+            v.firstCycle += c0;
+            log.merge(v);
+        }
+        for (const SegmentPorFork &f : seg.porForks) {
+            ++branchPoints;
+            ++es.branchPoints;
+            ++es.porForks;
+            GLIFS_TRACE_INSTANT_ARGS(
+                "engine", "por_fork",
+                add("instr", hex16(f.instr)).add("cycle", c0 + f.cycle));
+            stack.push_back({f.fired, tree.addNode(node, f.startPc)});
+        }
+
+        if (seg.killed) {
+            // starSaturate overwrites every flop, memory cell and
+            // input before settling: it reads no simulator state.
+            ps.starSaturate(&everTainted);
+            return;
+        }
+        if (seg.stopped) {
+            park(std::move(end), node);
+            return;
+        }
+        if (seg.starAborted) {
+            starGates = ps.starSaturate(&everTainted);
+            starAborted = true;
+            endPath(node, PathEnd::StarAborted, seg.endInstr);
+            return;
+        }
+        if (seg.halted) {
+            // runSegment already ran the halt memory-invariant scan.
+            endPath(node, PathEnd::Halted, seg.endInstr);
+            return;
+        }
+
+        const uint16_t instr_addr = seg.endInstr;
+        const uint16_t fsm = seg.endFsm;
+        const uint32_t table_key =
+            (static_cast<uint32_t>(instr_addr) << 4) | fsm;
+        // Plain conservative merge: cross-path differences that could
+        // leak are all caught by the per-cycle C1-C5 checks (untainted
+        // code with a tainted PC, partition escapes, port escapes),
+        // mirroring the proof structure of Section 5.4, so the merge
+        // itself need not re-taint.
+        StateTable::Visit visit = ps.cfg.disableMerging
+                                      ? StateTable::Visit::New
+                                      : table.visit(table_key, end);
+        gov.noteStates(table.size());
+        if (trace::Tracer &tr = trace::Tracer::instance(); tr.enabled()) {
+            static const char *const visitNames[] = {"new", "subsumed",
+                                                     "merged"};
+            tr.instant("engine", "visit",
+                       trace::Args()
+                           .add("instr", hex16(instr_addr))
+                           .add("fsm", static_cast<uint64_t>(fsm))
+                           .add("result",
+                                visitNames[static_cast<int>(visit)])
+                           .add("cycle", totalCycles)
+                           .str());
+        }
+        if (visit == StateTable::Visit::Subsumed) {
+            endPath(node, PathEnd::Subsumed, instr_addr);
+            if (!simHoldsEnd) {
+                // The scan reads the data-memory cells out of the
+                // simulator; put the segment's end state there.
+                end.restore(ps.layout, ps.sim.state());
+                ps.sim.markAllDirty();
+            }
+            ps.checker.checkMemoryInvariant(ps.sim, instr_addr,
+                                            totalCycles, log);
+            return;
+        }
+
+        // visit() merged or stored; end is now the conservative state
+        // to continue from (a merge may have made its PC unknown).
+        const size_t pc_xbits = ps.statePcXBits(end).size();
+        if (pc_xbits == 0) {
+            // The path runs on from here: a continuation, popped right
+            // back off the stack without the per-path accounting.
+            stack.push_back({std::move(end), node, true});
+            return;
+        }
+        // Soft branch-fanout threshold: a wide unknown-PC branch
+        // escalates the ladder before enumerating.
+        if (ps.cfg.budgets.softBranchBits &&
+            pc_xbits > ps.cfg.budgets.softBranchBits &&
+            level == DegradeLevel::None) {
+            escalate({ResourceKind::BranchFanout, BudgetSeverity::Soft,
+                      detail::concat(pc_xbits, " unknown PC bits at ",
+                                     hex16(instr_addr))},
+                     instr_addr);
+        }
+
+        bool overflow = false;
+        std::vector<uint16_t> pcs =
+            ps.candidatePcs(instr_addr, end, overflow);
+        if (overflow) {
+            // Hard fanout exhaustion: unbounded indirect control flow.
+            // Degrade the path to the *-logic abstraction instead of
+            // aborting the analysis.
+            recordDegradation(DegradeLevel::StarLogicPath,
+                              ResourceKind::BranchFanout,
+                              BudgetSeverity::Hard, instr_addr,
+                              detail::concat(
+                                  pc_xbits, " unknown PC bits exceed ",
+                                  ps.cfg.maxBranchBits,
+                                  " (consider masking the target)"));
+            ps.starSaturate(&everTainted);
+            endPath(node, PathEnd::Degraded, instr_addr);
+            return;
+        }
+        ++branchPoints;
+        ++es.branchPoints;
+        ++es.pcFanouts;
+        es.fanoutWidth.sample(static_cast<double>(pcs.size()));
+        GLIFS_TRACE_INSTANT_ARGS(
+            "engine", "branch",
+            add("instr", hex16(instr_addr))
+                .add("successors", static_cast<uint64_t>(pcs.size()))
+                .add("cycle", totalCycles));
+        for (uint16_t pc : pcs)
+            stack.push_back(
+                {ps.concretizePc(end, pc), tree.addNode(node, pc)});
+        es.frontierPeak.set(static_cast<double>(stack.size()));
+        gov.noteFrontier(stack.size());
+        endPath(node, PathEnd::Branched, instr_addr);
+    }
 };
 
 } // namespace
@@ -177,13 +477,8 @@ IftEngine::IftEngine(const Soc &s, const Policy &p,
 }
 
 EngineResult
-IftEngine::run(const ProgramImage &image)
-{
-    return run(image, nullptr);
-}
-
-EngineResult
-IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
+IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume,
+               SegmentSource *source)
 {
     GLIFS_TRACE_SCOPE("engine", "run");
     EngineStats &es = engineStats();
@@ -206,7 +501,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
         effective.budgets.hardCycles = effective.maxCycles;
     }
 
-    RunCtx ctx(soc, policy, effective, image);
+    RunCtx ctx(soc, policy, effective, image, source);
     EngineResult res;
 
     // Heartbeat and budget checks share the governor's poll clock
@@ -221,11 +516,11 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
     // captured symbolic state, so this also re-establishes it when
     // resuming a checkpoint.
     ctx.ps.loadProgram();
+    const uint64_t fingerprint = checkpointFingerprint(
+        image, ctx.ps.layout.slots(), soc.netlist().numNets());
 
     if (resume) {
-        const uint64_t fp = checkpointFingerprint(
-            image, ctx.ps.layout.slots(), soc.netlist().numNets());
-        if (resume->fingerprint != fp) {
+        if (resume->fingerprint != fingerprint) {
             GLIFS_RECOVERABLE(
                 "checkpoint does not match this program image and "
                 "netlist (was the firmware or SoC changed?)");
@@ -250,7 +545,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
         ctx.gov.noteStates(ctx.table.size());
         ctx.tree.setNodes(resume->tree);
         for (const auto &[state, node] : resume->frontier)
-            ctx.stack.emplace_back(state, node);
+            ctx.stack.push_back({state, node});
     } else {
         // Algorithm 1 line 5: propagate the (untainted) reset.
         ctx.ps.setInputs(true);
@@ -261,8 +556,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
 
         SymState s0(ctx.ps.layout);
         s0.capture(ctx.ps.layout, ctx.ps.sim.state());
-        uint32_t root = ctx.tree.addNode(-1, 0);
-        ctx.stack.emplace_back(std::move(s0), root);
+        ctx.stack.push_back({std::move(s0), ctx.tree.addNode(-1, 0)});
     }
 
     es.setupSeconds.add(secondsSince(t0));
@@ -271,289 +565,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
     const auto tExplore = std::chrono::steady_clock::now();
     const uint64_t traceTExplore = tr.enabled() ? tr.nowUs() : 0;
 
-    const SocProbes &prb = soc.probes();
-
-    while (!ctx.stack.empty() && !ctx.budgetHit && !ctx.starAborted) {
-        auto [state, node] = std::move(ctx.stack.back());
-        ctx.stack.pop_back();
-        ++ctx.pathsExplored;
-        ++es.paths;
-        es.frontierDepth.sample(
-            static_cast<double>(ctx.stack.size()));
-        es.frontierPeak.set(
-            static_cast<double>(ctx.stack.size() + 1));
-        ctx.gov.noteFrontier(ctx.stack.size() + 1);
-        state.restore(ctx.ps.layout, ctx.ps.sim.state());
-        // The restore rewrote every flop and memory cell behind the
-        // scheduler's back; the first settle of the path must sweep.
-        ctx.ps.sim.markAllDirty();
-        if (tr.enabled()) {
-            tr.instant("engine", "pop",
-                       trace::Args()
-                           .add("node", static_cast<uint64_t>(node))
-                           .add("pc", hex16(ctx.ps.statePcBase(state)))
-                           .add("stack",
-                                static_cast<uint64_t>(
-                                    ctx.stack.size()))
-                           .str());
-        }
-
-        // A popped state must have a concrete PC (children are pushed
-        // concretized); defensive check.
-        GLIFS_ASSERT(ctx.ps.statePcXBits(state).empty(),
-                     "execution point with unknown PC");
-
-        bool path_done = false;
-        while (!path_done) {
-            // Resource governance: poll every budget dimension before
-            // simulating the next cycle. Soft exhaustion degrades in
-            // place; hard exhaustion stops with a partial result (and
-            // a resumable snapshot of the frontier) -- never a fatal.
-            if (auto ev = ctx.gov.poll()) {
-                const uint16_t at = ctx.ps.tryBusValue(prb.instrAddrQ);
-                if (ev->severity == BudgetSeverity::Hard) {
-                    ctx.recordDegradation(DegradeLevel::PartialStop,
-                                          ev->kind, ev->severity, at,
-                                          ev->detail);
-                    ctx.budgetHit = true;
-                    ctx.tree.node(node).end = PathEnd::Budget;
-                    ctx.tree.node(node).endInstr = at;
-                    if (ctx.ps.cfg.checkpointOnStop) {
-                        // Park the in-flight path back on the frontier
-                        // so the snapshot resumes it; it will be popped
-                        // (and counted) again.
-                        SymState cur(ctx.ps.layout);
-                        cur.capture(ctx.ps.layout, ctx.ps.sim.state());
-                        ctx.stack.emplace_back(std::move(cur), node);
-                        --ctx.pathsExplored;
-                    }
-                    break;
-                }
-                if (ctx.escalate(*ev, at) ==
-                    RunCtx::Escalation::KillPath) {
-                    // *-logic the offending path: saturate to
-                    // tainted-X and terminate it conservatively.
-                    ctx.ps.starSaturate(&ctx.everTainted);
-                    ctx.tree.node(node).end = PathEnd::Degraded;
-                    ctx.tree.node(node).endInstr = at;
-                    path_done = true;
-                    break;
-                }
-            }
-
-            ctx.ps.setInputs(false);
-            ctx.ps.sim.evalComb();
-            ++ctx.totalCycles;
-            ++es.cycles;
-            ctx.gov.chargeCycles(1);
-            ++ctx.tree.node(node).cycles;
-            if (cfg.trackTaintedNets)
-                ctx.ps.accumulateTaint(ctx.everTainted);
-
-            const uint16_t instr_addr =
-                ctx.ps.busValue(prb.instrAddrQ, "instruction address");
-            ctx.ps.checker.checkCycle(ctx.ps.sim, instr_addr,
-                                      ctx.totalCycles, ctx.log);
-
-            const uint16_t fsm =
-                ctx.ps.busValue(prb.stateQ, "fsm state");
-
-            // *-logic baseline: give up at the first tainted or
-            // unknown control flow.
-            if (cfg.starLogicMode) {
-                bool pc_taint = false;
-                for (NetId n : prb.pcQ)
-                    pc_taint |= ctx.ps.sim.netValue(n).taint;
-                if (pc_taint || ctx.ps.busHasX(prb.pcD)) {
-                    auto [tainted, total] =
-                        ctx.ps.starSaturate(&ctx.everTainted);
-                    res.taintedGates = tainted;
-                    res.totalGates = total;
-                    ctx.starAborted = true;
-                    ctx.tree.node(node).end = PathEnd::StarAborted;
-                    ctx.tree.node(node).endInstr = instr_addr;
-                    break;
-                }
-            }
-
-            if (fsm == static_cast<uint16_t>(CoreState::Halt)) {
-                ctx.tree.node(node).end = PathEnd::Halted;
-                ctx.tree.node(node).endInstr = instr_addr;
-                ctx.ps.checker.checkMemoryInvariant(ctx.ps.sim,
-                                                    instr_addr,
-                                                    ctx.totalCycles,
-                                                    ctx.log);
-                path_done = true;
-                break;
-            }
-
-            // Is this cycle a PC-changing commit?
-            std::optional<Instr> instr = ctx.ps.instrAt(instr_addr);
-            bool is_commit =
-                fsm == static_cast<uint16_t>(CoreState::Call) ||
-                fsm == static_cast<uint16_t>(CoreState::Ret) ||
-                (fsm == static_cast<uint16_t>(CoreState::Exec) && instr &&
-                 (instr->op == Op::J || instr->op == Op::Br));
-
-            // Unknown watchdog expiry: fork into fired / not-fired so
-            // the POR is always simulated with a concrete reset line
-            // (preserving the Figure-7 untainting). The fired branch is
-            // pushed as a fresh execution point; the not-fired branch
-            // continues inline but is forced through the state table so
-            // the chain of forks converges.
-            Signal por = ctx.ps.sim.netValue(prb.porNet);
-            if (!por.known()) {
-                ++ctx.branchPoints;
-                ++es.branchPoints;
-                ++es.porForks;
-                GLIFS_TRACE_INSTANT_ARGS(
-                    "engine", "por_fork",
-                    add("instr", hex16(instr_addr))
-                        .add("cycle", ctx.totalCycles));
-                SymState pre(ctx.ps.layout);
-                pre.capture(ctx.ps.layout, ctx.ps.sim.state());
-
-                // Fired branch: POR forced high; PC resets to 0.
-                ctx.ps.sim.setNet(prb.porNet,
-                                  Signal{Tern::One, por.taint});
-                ctx.ps.sim.clockEdge();
-                SymState fired(ctx.ps.layout);
-                fired.capture(ctx.ps.layout, ctx.ps.sim.state());
-                GLIFS_ASSERT(ctx.ps.statePcXBits(fired).empty(),
-                             "POR branch left the PC unknown");
-                uint32_t cn = ctx.tree.addNode(
-                    node, ctx.ps.statePcBase(fired));
-                ctx.stack.emplace_back(std::move(fired), cn);
-
-                // Not-fired branch: replay the cycle with POR forced
-                // low and continue inline as a forced merge point.
-                // The fork chain is bounded by the next PC-changing
-                // commit, where the normal state-table subsumption
-                // applies.
-                pre.restore(ctx.ps.layout, ctx.ps.sim.state());
-                ctx.ps.sim.markAllDirty();
-                ctx.ps.setInputs(false);
-                ctx.ps.sim.evalComb();
-                ctx.ps.sim.setNet(prb.porNet,
-                                  Signal{Tern::Zero, por.taint});
-            }
-
-            ctx.ps.sim.clockEdge();
-
-            SymState cur(ctx.ps.layout);
-            cur.capture(ctx.ps.layout, ctx.ps.sim.state());
-            bool pc_unknown = !ctx.ps.statePcXBits(cur).empty();
-
-            if (!is_commit && !pc_unknown)
-                continue;
-
-            if (cfg.disableMerging && !pc_unknown)
-                continue;  // ablation: no subsumption, no merging
-            const uint32_t table_key =
-                (static_cast<uint32_t>(instr_addr) << 4) | fsm;
-            // Plain conservative merge: cross-path differences that
-            // could leak are all caught by the per-cycle C1-C5 checks
-            // (untainted code with a tainted PC, partition escapes,
-            // port escapes), mirroring the proof structure of
-            // Section 5.4, so the merge itself need not re-taint.
-            StateTable::Visit visit =
-                ctx.ps.cfg.disableMerging
-                    ? StateTable::Visit::New
-                    : ctx.table.visit(table_key, cur);
-            ctx.gov.noteStates(ctx.table.size());
-            if (tr.enabled()) {
-                static const char *const visitNames[] = {
-                    "new", "subsumed", "merged"};
-                tr.instant(
-                    "engine", "visit",
-                    trace::Args()
-                        .add("instr", hex16(instr_addr))
-                        .add("fsm", static_cast<uint64_t>(fsm))
-                        .add("result",
-                             visitNames[static_cast<int>(visit)])
-                        .add("cycle", ctx.totalCycles)
-                        .str());
-            }
-            if (visit == StateTable::Visit::Subsumed) {
-                ctx.tree.node(node).end = PathEnd::Subsumed;
-                ctx.tree.node(node).endInstr = instr_addr;
-                ctx.ps.checker.checkMemoryInvariant(ctx.ps.sim,
-                                                    instr_addr,
-                                                    ctx.totalCycles,
-                                                    ctx.log);
-                path_done = true;
-                break;
-            }
-
-            // visit() merged or stored; cur is now the conservative
-            // state to continue from.
-            const size_t pc_xbits = ctx.ps.statePcXBits(cur).size();
-            if (pc_xbits > 0) {
-                // Soft branch-fanout threshold: a wide unknown-PC
-                // branch escalates the ladder before enumerating.
-                if (ctx.ps.cfg.budgets.softBranchBits &&
-                    pc_xbits > ctx.ps.cfg.budgets.softBranchBits &&
-                    ctx.level == DegradeLevel::None) {
-                    BudgetEvent ev{
-                        ResourceKind::BranchFanout,
-                        BudgetSeverity::Soft,
-                        detail::concat(pc_xbits,
-                                       " unknown PC bits at ",
-                                       hex16(instr_addr))};
-                    ctx.escalate(ev, instr_addr);
-                }
-
-                bool overflow = false;
-                std::vector<uint16_t> pcs =
-                    ctx.ps.candidatePcs(instr_addr, cur, overflow);
-                if (overflow) {
-                    // Hard fanout exhaustion: unbounded indirect
-                    // control flow. Degrade the path to the *-logic
-                    // abstraction instead of aborting the analysis.
-                    ctx.recordDegradation(
-                        DegradeLevel::StarLogicPath,
-                        ResourceKind::BranchFanout,
-                        BudgetSeverity::Hard, instr_addr,
-                        detail::concat(
-                            pc_xbits, " unknown PC bits exceed ",
-                            ctx.ps.cfg.maxBranchBits,
-                            " (consider masking the target)"));
-                    ctx.ps.starSaturate(&ctx.everTainted);
-                    ctx.tree.node(node).end = PathEnd::Degraded;
-                    ctx.tree.node(node).endInstr = instr_addr;
-                    path_done = true;
-                    break;
-                }
-                ++ctx.branchPoints;
-                ++es.branchPoints;
-                ++es.pcFanouts;
-                es.fanoutWidth.sample(
-                    static_cast<double>(pcs.size()));
-                GLIFS_TRACE_INSTANT_ARGS(
-                    "engine", "branch",
-                    add("instr", hex16(instr_addr))
-                        .add("successors",
-                             static_cast<uint64_t>(pcs.size()))
-                        .add("cycle", ctx.totalCycles));
-                for (uint16_t pc : pcs) {
-                    uint32_t cn = ctx.tree.addNode(node, pc);
-                    ctx.stack.emplace_back(
-                        ctx.ps.concretizePc(cur, pc), cn);
-                }
-                es.frontierPeak.set(
-                    static_cast<double>(ctx.stack.size()));
-                ctx.gov.noteFrontier(ctx.stack.size());
-                ctx.tree.node(node).end = PathEnd::Branched;
-                ctx.tree.node(node).endInstr = instr_addr;
-                path_done = true;
-                break;
-            }
-            if (visit == StateTable::Visit::Merged) {
-                cur.restore(ctx.ps.layout, ctx.ps.sim.state());
-                ctx.ps.sim.markAllDirty();
-            }
-        }
-    }
+    ctx.explore();
 
     es.exploreSeconds.add(secondsSince(tExplore));
     if (tr.enabled()) {
@@ -577,8 +589,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
 
     if (ctx.budgetHit && ctx.ps.cfg.checkpointOnStop) {
         auto ckpt = std::make_shared<EngineCheckpoint>();
-        ckpt->fingerprint = checkpointFingerprint(
-            image, ctx.ps.layout.slots(), soc.netlist().numNets());
+        ckpt->fingerprint = fingerprint;
         ckpt->totalCycles = ctx.totalCycles;
         ckpt->pathsExplored = ctx.pathsExplored;
         ckpt->branchPoints = ctx.branchPoints;
@@ -596,14 +607,18 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
         ckpt->table.reserve(ctx.table.entries().size());
         for (const auto &[key, state] : ctx.table.entries())
             ckpt->table.emplace_back(key, state);
-        ckpt->frontier = ctx.stack;
+        ckpt->frontier.reserve(ctx.stack.size());
+        for (FrontierEntry &e : ctx.stack)
+            ckpt->frontier.emplace_back(std::move(e.state), e.node);
         ckpt->tree = ctx.tree.all();
         res.checkpoint = std::move(ckpt);
     }
 
     res.tree = std::move(ctx.tree);
 
-    if (!cfg.starLogicMode) {
+    if (cfg.starLogicMode) {
+        std::tie(res.taintedGates, res.totalGates) = ctx.starGates;
+    } else {
         // Fraction of tracked gates whose output ever carried taint.
         const Netlist &nl = soc.netlist();
         size_t tainted = 0;

@@ -15,6 +15,15 @@
  * into fired / not-fired branches so the power-on reset is always
  * simulated with a concrete reset line (preserving the Figure-7
  * untainting semantics).
+ *
+ * IftEngine::run is the one Algorithm-1 driver. It pops the LIFO
+ * frontier, has PathSim::runSegment (ift/path_sim.hh) simulate the
+ * popped state to its next commit, and folds each segment into the run
+ * in one apply step: taint, violations, POR forks, HALT, the
+ * state-table visit, then PC fan-out or continuation. An optional
+ * SegmentSource may answer a pop with a segment simulated elsewhere --
+ * the --explore-jobs fleet (explore/coordinator.hh) does -- and the
+ * driver applies it exactly as if it had run it itself.
  */
 
 #ifndef GLIFS_IFT_ENGINE_HH
@@ -22,6 +31,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "assembler/program_image.hh"
 #include "ift/checker.hh"
@@ -29,12 +41,14 @@
 #include "ift/governor.hh"
 #include "ift/policy.hh"
 #include "ift/state_table.hh"
+#include "ift/symstate.hh"
 #include "soc/soc.hh"
 
 namespace glifs
 {
 
 struct EngineCheckpoint;
+struct SegmentResult;
 
 /** Engine knobs. */
 struct EngineConfig
@@ -177,6 +191,53 @@ struct EngineResult
     std::string summary() const;
 };
 
+/** One execution point on the exploration frontier. */
+struct FrontierEntry
+{
+    FrontierEntry(SymState s, uint32_t n, bool c = false)
+        : state(std::move(s)), node(n), cont(c)
+    {
+    }
+
+    SymState state;
+    uint32_t node = 0; ///< execution-tree node of the path
+
+    /** Continuation of a path past a commit that neither subsumed it
+     *  nor left its PC unknown: popped without the per-path
+     *  accounting. */
+    bool cont = false;
+
+    /** Memo slot for a SegmentSource (empty until it fills it). */
+    std::string digest;
+};
+
+/**
+ * Segments simulated outside the driver. Segments are pure functions
+ * of their start state (ift/path_sim.hh), so a result computed
+ * anywhere applies exactly like one the driver simulates itself.
+ */
+class SegmentSource
+{
+  public:
+    SegmentSource() = default;
+    SegmentSource(const SegmentSource &) = delete;
+    SegmentSource &operator=(const SegmentSource &) = delete;
+    virtual ~SegmentSource() = default;
+
+    /**
+     * Called for every popped entry @p top before it is simulated;
+     * @p frontier is the rest of the stack (entries may have their
+     * digest memo filled, nothing else). Returns the segment starting
+     * at top.state if it is at hand and shorter than @p cycleRoom
+     * cycles -- a longer one would cross a cycle budget that the
+     * driver must stop at mid-segment -- or nullptr to simulate inline.
+     * The result must stay valid until the next call.
+     */
+    virtual const SegmentResult *
+    segmentFor(FrontierEntry &top, std::vector<FrontierEntry> &frontier,
+               uint64_t cycleRoom) = 0;
+};
+
 /**
  * The application-specific gate-level information flow tracking tool
  * (Figure 6): netlist + binary + policy in, violations out.
@@ -187,18 +248,17 @@ class IftEngine
     IftEngine(const Soc &soc, const Policy &policy,
               const EngineConfig &cfg = {});
 
-    /** Run the full analysis of a program image. */
-    EngineResult run(const ProgramImage &image);
-
     /**
-     * Run the analysis, optionally continuing from a checkpoint taken
-     * by an earlier (interrupted) run of the same image on the same
-     * SoC. Throws RecoverableError if the checkpoint does not match.
-     * Resuming an unmodified snapshot reproduces the uninterrupted
-     * run's counters and violations exactly.
+     * Run the full analysis of a program image, optionally continuing
+     * from a checkpoint taken by an earlier (interrupted) run of the
+     * same image on the same SoC, and optionally taking segments from
+     * @p source. Throws RecoverableError if the checkpoint does not
+     * match. Resuming an unmodified snapshot reproduces the
+     * uninterrupted run's counters and violations exactly.
      */
     EngineResult run(const ProgramImage &image,
-                     const EngineCheckpoint *resume);
+                     const EngineCheckpoint *resume = nullptr,
+                     SegmentSource *source = nullptr);
 
   private:
     const Soc &soc;

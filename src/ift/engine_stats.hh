@@ -1,9 +1,8 @@
 /**
  * @file
  * The engine.* stat catalogue (docs/OBSERVABILITY.md), shared by the
- * serial exploration loop (ift/engine.cc), the segment runner
- * (ift/path_sim.cc) and the parallel coordinator
- * (explore/coordinator.cc) so both exploration modes feed the same
+ * exploration driver (ift/engine.cc) and the segment runner
+ * (ift/path_sim.cc), so serial and --explore-jobs runs feed the same
  * counters.
  */
 

@@ -3,7 +3,6 @@
 #include <unordered_map>
 
 #include "base/logging.hh"
-#include "base/strutil.hh"
 #include "base/trace.hh"
 #include "ift/engine_stats.hh"
 
@@ -257,12 +256,20 @@ PathSim::starSaturate(BitPlane *everTainted)
 }
 
 SegmentResult
-PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
+PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
+                    uint64_t cycleBase)
 {
     SegmentResult res;
     if (cfg.trackTaintedNets)
         res.taintDelta = BitPlane(soc.netlist().numNets());
     ViolationLog seglog;
+    // The checker logs on the absolute clock; the result carries
+    // segment-relative cycles so it stays a function of start alone.
+    auto collect = [&] {
+        res.violations = seglog.list();
+        for (Violation &v : res.violations)
+            v.firstCycle -= cycleBase;
+    };
     const SocProbes &prb = soc.probes();
 
     start.restore(layout, sim.state());
@@ -273,10 +280,8 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
                  "segment start with unknown PC");
 
     while (true) {
-        // The serial loop's governor-poll point: before the cycle's
-        // inputs are driven. Workers run hook-free; the coordinator's
-        // inline execution polls its governor here, preserving the
-        // serial engine's cycle-exact budget stops.
+        // The governor-poll point: before the cycle's inputs are
+        // driven, so budget stops are cycle-exact.
         if (hooks.poll) {
             CycleAction act = hooks.poll();
             if (act == CycleAction::Stop) {
@@ -285,13 +290,13 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
                 cur.capture(layout, sim.state());
                 res.end = std::move(cur);
                 res.endInstr = tryBusValue(prb.instrAddrQ);
-                res.violations = seglog.list();
+                collect();
                 return res;
             }
             if (act == CycleAction::Kill) {
                 res.killed = true;
                 res.endInstr = tryBusValue(prb.instrAddrQ);
-                res.violations = seglog.list();
+                collect();
                 return res;
             }
         }
@@ -306,17 +311,32 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
 
         const uint16_t instr_addr =
             busValue(prb.instrAddrQ, "instruction address");
-        checker.checkCycle(sim, instr_addr, res.cycles, seglog);
+        const uint64_t cycle = cycleBase + res.cycles;
+        checker.checkCycle(sim, instr_addr, cycle, seglog);
 
         const uint16_t fsm = busValue(prb.stateQ, "fsm state");
+
+        // *-logic baseline: give up at the first tainted or unknown
+        // control flow; the driver saturates the state.
+        if (cfg.starLogicMode) {
+            bool pc_taint = false;
+            for (NetId n : prb.pcQ)
+                pc_taint |= sim.netValue(n).taint;
+            if (pc_taint || busHasX(prb.pcD)) {
+                res.starAborted = true;
+                res.endInstr = instr_addr;
+                res.endFsm = fsm;
+                collect();
+                return res;
+            }
+        }
 
         if (fsm == static_cast<uint16_t>(CoreState::Halt)) {
             res.halted = true;
             res.endInstr = instr_addr;
             res.endFsm = fsm;
-            checker.checkMemoryInvariant(sim, instr_addr, res.cycles,
-                                         seglog);
-            res.violations = seglog.list();
+            checker.checkMemoryInvariant(sim, instr_addr, cycle, seglog);
+            collect();
             return res;
         }
 
@@ -336,10 +356,6 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
         // of forks converges.
         Signal por = sim.netValue(prb.porNet);
         if (!por.known()) {
-            GLIFS_TRACE_INSTANT_ARGS(
-                "engine", "por_fork",
-                add("instr", hex16(instr_addr))
-                    .add("seg_cycle", res.cycles));
             SymState pre(layout);
             pre.capture(layout, sim.state());
 
@@ -351,7 +367,8 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
             GLIFS_ASSERT(statePcXBits(fired).empty(),
                          "POR branch left the PC unknown");
             const uint16_t startPc = statePcBase(fired);
-            res.porForks.push_back({std::move(fired), startPc});
+            res.porForks.push_back(
+                {std::move(fired), startPc, instr_addr, res.cycles});
 
             // Not-fired branch: replay the cycle with POR forced
             // low and continue inline as a forced merge point.
@@ -380,7 +397,7 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
         res.endInstr = instr_addr;
         res.endFsm = fsm;
         res.pcUnknown = pc_unknown;
-        res.violations = seglog.list();
+        collect();
         return res;
     }
 }

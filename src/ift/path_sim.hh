@@ -1,20 +1,20 @@
 /**
  * @file
- * Per-path symbolic simulation shared by the serial engine
- * (ift/engine.cc) and the parallel exploration workers
- * (explore/worker.cc).
+ * Per-path symbolic simulation: the one Algorithm-1 cycle loop, shared
+ * by the engine's driver (ift/engine.cc) and the parallel exploration
+ * workers (explore/worker.cc).
  *
  * A *segment* is the simulation of one execution point from its
- * concrete-PC start state up to the next PC-changing commit, HALT, or
- * hook-requested stop -- exactly the stretch the serial loop runs
- * between a frontier pop and the next state-table visit. Segments are
- * pure functions of the start state: every simulated value, violation
- * and POR fork depends only on the netlist, policy, program image and
- * the start state, never on the engine's global budgets or ladder
- * position (those only affect what the *caller* does with the segment
- * end). That purity is what lets worker processes execute segments
- * speculatively while the coordinator applies them in strict serial
- * order (DESIGN.md §11).
+ * concrete-PC start state up to the next PC-changing commit, HALT, the
+ * *-logic give-up, or a hook-requested stop -- the stretch between a
+ * frontier pop and the next state-table visit. Segments are pure
+ * functions of the start state: every simulated value, violation and
+ * POR fork depends only on the netlist, policy, program image and the
+ * start state, never on the engine's global budgets or ladder position
+ * (those only affect what the *driver* does with the segment end).
+ * That purity is what lets worker processes execute segments
+ * speculatively while the driver applies them in strict serial order
+ * (DESIGN.md §11).
  */
 
 #ifndef GLIFS_IFT_PATH_SIM_HH
@@ -42,6 +42,8 @@ struct SegmentPorFork
 {
     SymState fired;
     uint16_t startPc = 0;
+    uint16_t instr = 0;  ///< instruction executing at the fork
+    uint64_t cycle = 0;  ///< segment-relative (1-based) fork cycle
 };
 
 /** What one segment simulated, in segment-relative terms. */
@@ -55,6 +57,7 @@ struct SegmentResult
     bool pcUnknown = false;  ///< end state has unknown PC bits
     bool stopped = false;    ///< hook Stop: end is the in-flight state
     bool killed = false;     ///< hook Kill: caller *-logics the path
+    bool starAborted = false; ///< *-logic mode: tainted or unknown PC
 
     /** Violations observed in the segment, aggregated per (kind,
      *  instruction) with firstCycle *relative* to the segment start
@@ -78,10 +81,10 @@ enum class CycleAction : uint8_t
 };
 
 /**
- * Optional per-cycle callbacks. `poll` runs at the serial loop's
- * governor-poll point (before the cycle's inputs are driven);
- * `cycleCharged` runs right after the combinational settle, where the
- * serial loop charges its cycle counters. Workers run hook-free.
+ * Optional per-cycle callbacks. `poll` runs at the governor-poll point
+ * (before the cycle's inputs are driven); `cycleCharged` runs right
+ * after the combinational settle, where the driver charges its cycle
+ * counters. Workers only count cycles against their chain cap.
  */
 struct SegmentHooks
 {
@@ -167,14 +170,17 @@ class PathSim
 
     /**
      * Run one segment from @p start: restore it, then simulate cycle
-     * by cycle exactly like the serial inner loop until the next
-     * PC-changing commit / unknown PC / HALT, or until a hook says
-     * Stop or Kill. The simulator is left in the segment's final
-     * in-flight state (Kill callers star-saturate it; Stop callers
-     * already got it captured in SegmentResult::end).
+     * by cycle until the next PC-changing commit / unknown PC / HALT /
+     * *-logic give-up, or until a hook says Stop or Kill. The simulator
+     * is left in the segment's final in-flight state (Kill callers
+     * star-saturate it; Stop callers already got it captured in
+     * SegmentResult::end). @p cycleBase is the absolute cycle before
+     * the segment's first: the checker logs and traces on that clock,
+     * and the returned violations are rebased to segment-relative.
      */
     SegmentResult runSegment(const SymState &start,
-                             const SegmentHooks &hooks = {});
+                             const SegmentHooks &hooks = {},
+                             uint64_t cycleBase = 0);
 };
 
 } // namespace glifs

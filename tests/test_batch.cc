@@ -56,8 +56,11 @@ tempDir(const std::string &name)
 {
     // Wipe any residue from a previous run: cache/checkpoint state
     // surviving in /tmp would turn first-run cache-miss assertions
-    // into spurious hits.
-    std::string dir = ::testing::TempDir() + "batch_" + name;
+    // into spurious hits. Per-process: test_batch_integrity_sanitize
+    // re-runs cases concurrently with their discovered twins under
+    // `ctest -j`.
+    std::string dir = ::testing::TempDir() + "batch_" + name + "_" +
+                      std::to_string(::getpid());
     std::filesystem::remove_all(dir);
     ::mkdir(dir.c_str(), 0755);
     return dir;
