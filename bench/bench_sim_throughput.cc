@@ -166,6 +166,23 @@ BM_SymStateCapture(benchmark::State &state)
 BENCHMARK(BM_SymStateCapture);
 
 void
+BM_SymStateRestore(benchmark::State &state)
+{
+    Soc &soc = sharedSoc();
+    Simulator sim(soc.netlist());
+    SymLayout layout(soc.netlist());
+    SymState s(layout);
+    s.capture(layout, sim.state());
+    for (auto _ : state) {
+        s.restore(layout, sim.state());
+        benchmark::DoNotOptimize(sim.state().rawNets().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * layout.slots());
+}
+BENCHMARK(BM_SymStateRestore);
+
+void
 BM_SymStateSubsume(benchmark::State &state)
 {
     Soc &soc = sharedSoc();

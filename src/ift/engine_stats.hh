@@ -27,6 +27,8 @@ struct EngineStats
                            "unknown watchdog-expiry forks"};
     stats::Scalar pcFanouts{"engine.pc_fanouts",
                             "unknown-PC successor enumerations"};
+    stats::Scalar stateCaptures{"engine.state_captures",
+                                "SymState captures taken inside segments"};
     stats::Distribution fanoutWidth{
         "engine.fanout_width",
         "concrete successors per unknown-PC branch", 0, 64, 16};

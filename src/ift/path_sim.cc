@@ -286,9 +286,8 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
             CycleAction act = hooks.poll();
             if (act == CycleAction::Stop) {
                 res.stopped = true;
-                SymState cur(layout);
-                cur.capture(layout, sim.state());
-                res.end = std::move(cur);
+                res.end.capture(layout, sim.state());
+                ++engineStats().stateCaptures;
                 res.endInstr = tryBusValue(prb.instrAddrQ);
                 collect();
                 return res;
@@ -364,6 +363,7 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
             sim.clockEdge();
             SymState fired(layout);
             fired.capture(layout, sim.state());
+            engineStats().stateCaptures += 2;
             GLIFS_ASSERT(statePcXBits(fired).empty(),
                          "POR branch left the PC unknown");
             const uint16_t startPc = statePcBase(fired);
@@ -384,16 +384,17 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
 
         sim.clockEdge();
 
-        SymState cur(layout);
-        cur.capture(layout, sim.state());
-        bool pc_unknown = !statePcXBits(cur).empty();
+        // The live PC flops decide whether the segment ends here; the
+        // full state is captured only when it does.
+        const bool pc_unknown = busHasX(prb.pcQ);
 
         if (!is_commit && !pc_unknown)
             continue;
         if (cfg.disableMerging && !pc_unknown)
             continue; // ablation: no subsumption, no merging
 
-        res.end = std::move(cur);
+        res.end.capture(layout, sim.state());
+        ++engineStats().stateCaptures;
         res.endInstr = instr_addr;
         res.endFsm = fsm;
         res.pcUnknown = pc_unknown;

@@ -15,6 +15,11 @@
  * That purity is what lets worker processes execute segments
  * speculatively while the driver applies them in strict serial order
  * (DESIGN.md §11).
+ *
+ * A segment captures the full symbolic state (SymState) only where the
+ * driver needs it: at its end (commit, unknown PC or hook Stop) and at
+ * each POR fork. Between those points the loop reads the live PC flops
+ * to decide whether the segment ends, so a cycle costs no capture.
  */
 
 #ifndef GLIFS_IFT_PATH_SIM_HH

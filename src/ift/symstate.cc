@@ -1,9 +1,73 @@
 #include "ift/symstate.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace glifs
 {
+
+namespace
+{
+
+/**
+ * Pack the signals at(0) .. at(n - 1) into slots [first, first + n)
+ * of the known/value/taint planes, one plane word at a time: each run
+ * of slots sharing a word is assembled in registers and stored once,
+ * leaving the word's other bits as they were.
+ */
+template <typename At>
+void
+packSlots(BitPlane &known, BitPlane &value, BitPlane &taint,
+          size_t first, size_t n, At at)
+{
+    uint64_t *k = known.words().data();
+    uint64_t *v = value.words().data();
+    uint64_t *t = taint.words().data();
+    for (size_t i = 0; i < n;) {
+        const size_t w = (first + i) / 64;
+        const unsigned lo = (first + i) % 64;
+        const size_t take = std::min<size_t>(64 - lo, n - i);
+        uint64_t kw = 0, vw = 0, tw = 0;
+        for (size_t b = 0; b < take; ++b) {
+            const Signal s = at(i + b);
+            kw |= static_cast<uint64_t>(s.known()) << (lo + b);
+            vw |= static_cast<uint64_t>(s.value == Tern::One) << (lo + b);
+            tw |= static_cast<uint64_t>(s.taint) << (lo + b);
+        }
+        const uint64_t keep = ~(lowMask(static_cast<unsigned>(take)) << lo);
+        k[w] = (k[w] & keep) | kw;
+        v[w] = (v[w] & keep) | vw;
+        t[w] = (t[w] & keep) | tw;
+        i += take;
+    }
+}
+
+/** The inverse of packSlots: put(i, signal of slot first + i) for
+ *  every i < n, reading each plane word once. */
+template <typename Put>
+void
+unpackSlots(const BitPlane &known, const BitPlane &value,
+            const BitPlane &taint, size_t first, size_t n, Put put)
+{
+    const uint64_t *k = known.words().data();
+    const uint64_t *v = value.words().data();
+    const uint64_t *t = taint.words().data();
+    for (size_t i = 0; i < n;) {
+        const size_t w = (first + i) / 64;
+        const unsigned lo = (first + i) % 64;
+        const size_t take = std::min<size_t>(64 - lo, n - i);
+        const uint64_t kw = k[w] >> lo, vw = v[w] >> lo, tw = t[w] >> lo;
+        for (size_t b = 0; b < take; ++b) {
+            const bool isKnown = (kw >> b) & 1;
+            put(i + b, Signal{isKnown ? ternBool((vw >> b) & 1) : Tern::X,
+                              ((tw >> b) & 1) != 0});
+        }
+        i += take;
+    }
+}
+
+} // namespace
 
 SymLayout::SymLayout(const Netlist &netlist) : nl(netlist)
 {
@@ -62,13 +126,15 @@ SymState::capture(const SymLayout &layout, const SignalState &sigs)
         value.resize(layout.slots());
         taint.resize(layout.slots());
     }
-    size_t slot_idx = 0;
-    for (NetId n : layout.dffNets())
-        setSlot(slot_idx++, sigs.net(n));
+    const std::vector<NetId> &dffs = layout.dffNets();
+    packSlots(known, value, taint, 0, dffs.size(),
+              [&](size_t i) { return sigs.net(dffs[i]); });
     for (const auto &[mem, base] : layout.mems()) {
         const std::vector<Signal> &cells = sigs.memCells(mem);
-        for (size_t i = 0; i < cells.size(); ++i)
-            setSlot(base + i, cells[i]);
+        GLIFS_ASSERT(base + cells.size() <= known.size(),
+                     "memory ", mem, " overruns the layout");
+        packSlots(known, value, taint, base, cells.size(),
+                  [&](size_t i) { return cells[i]; });
     }
 }
 
@@ -76,13 +142,15 @@ void
 SymState::restore(const SymLayout &layout, SignalState &sigs) const
 {
     GLIFS_ASSERT(known.size() == layout.slots(), "layout mismatch");
-    size_t slot_idx = 0;
-    for (NetId n : layout.dffNets())
-        sigs.setNet(n, slot(slot_idx++));
+    const std::vector<NetId> &dffs = layout.dffNets();
+    unpackSlots(known, value, taint, 0, dffs.size(),
+                [&](size_t i, Signal s) { sigs.setNet(dffs[i], s); });
     for (const auto &[mem, base] : layout.mems()) {
         std::vector<Signal> &cells = sigs.memCells(mem);
-        for (size_t i = 0; i < cells.size(); ++i)
-            cells[i] = slot(base + i);
+        GLIFS_ASSERT(base + cells.size() <= known.size(),
+                     "memory ", mem, " overruns the layout");
+        unpackSlots(known, value, taint, base, cells.size(),
+                    [&](size_t i, Signal s) { cells[i] = s; });
     }
 }
 

@@ -13,6 +13,7 @@
 #include "ift/engine.hh"
 #include "ift/rootcause.hh"
 #include "soc/soc.hh"
+#include "workloads/workload.hh"
 
 namespace glifs
 {
@@ -389,6 +390,33 @@ TEST_F(IftTest, RunUpdatesTheStatsRegistry)
               before.value("sim.comb_evals"));
     EXPECT_GT(after.value("state_table.lookups"),
               before.value("state_table.lookups"));
+}
+
+/** A segment captures the symbolic state only where the driver reads
+ *  it: at its end, which the driver takes to the state table, and
+ *  twice per POR fork (the pre-fork state and the fired branch). It
+ *  takes none per simulated cycle. tHold forks on the watchdog; mult
+ *  does not. */
+TEST_F(IftTest, StateCapturesOnlyAtVisitsAndPorForks)
+{
+    for (const auto &[name, forks] :
+         {std::pair{"tHold", true}, std::pair{"mult", false}}) {
+        SCOPED_TRACE(name);
+        const Workload &w = workloadByName(name);
+        stats::Snapshot before = stats::Registry::instance().snapshot();
+        EngineResult r = IftEngine(*soc, w.policy()).run(w.image());
+        stats::Snapshot after = stats::Registry::instance().snapshot();
+        auto delta = [&](const char *stat) {
+            return after.value(stat) - before.value(stat);
+        };
+        EXPECT_TRUE(r.completed);
+        EXPECT_EQ(delta("engine.por_forks") > 0, forks);
+        EXPECT_EQ(delta("engine.state_captures"),
+                  delta("state_table.lookups") +
+                      2 * delta("engine.por_forks"));
+        EXPECT_LT(delta("engine.state_captures"),
+                  delta("engine.cycles"));
+    }
 }
 
 TEST_F(IftTest, TracedRunEmitsEngineSpans)

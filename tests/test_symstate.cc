@@ -2,15 +2,20 @@
  * @file
  * Tests of the packed symbolic state: capture/restore round trips,
  * substate ordering and conservative merging (the lattice operations
- * Algorithm 1's termination argument rests on).
+ * Algorithm 1's termination argument rests on), and a differential
+ * check of the word-at-a-time capture/restore against per-slot
+ * accessors.
  */
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 #include "ift/state_table.hh"
 #include "ift/symstate.hh"
 #include "netlist/builder.hh"
 #include "sim/simulator.hh"
+#include "soc/soc.hh"
 
 namespace glifs
 {
@@ -196,6 +201,190 @@ TEST(SymState, MergeIsMonotone)
     EXPECT_EQ(m, m2);
     m2.mergeWith(b);
     EXPECT_EQ(m, m2);
+}
+
+// ---------------------------------------------------------------------
+// Word-at-a-time capture/restore against the per-slot accessors.
+// ---------------------------------------------------------------------
+
+/** Add a memory of @p words x @p width bits with its own ports,
+ *  writing @p d into every bit. */
+void
+addMem(Netlist &nl, const std::string &name, size_t words,
+       unsigned width, bool writable, NetId d)
+{
+    MemoryDecl m;
+    m.name = name;
+    m.words = words;
+    m.width = width;
+    m.writable = writable;
+    for (unsigned b = 0; b < bitsFor(words); ++b)
+        m.readAddr.push_back(nl.addInput(name + "_a" + std::to_string(b)));
+    for (unsigned b = 0; b < width; ++b)
+        m.readData.push_back(nl.addNet(name + "_rd" + std::to_string(b)));
+    if (writable) {
+        m.writeAddr = m.readAddr;
+        m.writeData.assign(width, d);
+        m.writeEn = nl.addInput(name + "_we");
+    }
+    nl.addMemory(m);
+}
+
+/**
+ * 70 flops, a 37x5 RAM, a ROM and a 13x3 RAM: the RAMs start at slots
+ * 70 and 255, and the last of the 294 slots sits at bit 37 of word 4,
+ * so runs start, end and share words mid-word.
+ */
+struct OddFixture
+{
+    Netlist nl;
+    NetId in = kNoNet;
+
+    OddFixture()
+    {
+        in = nl.addInput("d");
+        NetId rst = nl.addInput("rst");
+        for (int i = 0; i < 70; ++i) {
+            DffHandle ff = nl.addDff("q" + std::to_string(i));
+            nl.connectDff(ff.gate, in, rst, nl.constNet(true));
+        }
+        addMem(nl, "ram_a", 37, 5, true, in);
+        addMem(nl, "rom", 8, 4, false, in);
+        addMem(nl, "ram_b", 13, 3, true, in);
+    }
+};
+
+Signal
+randomSignal(std::mt19937 &rng)
+{
+    return Signal{static_cast<Tern>(rng() % 3), rng() % 2 == 1};
+}
+
+/** Random {0,1,X} x taint on every flop output and memory cell
+ *  (ROM included), and on one non-state net. */
+void
+randomize(const Netlist &nl, SignalState &sigs, std::mt19937 &rng,
+          NetId other)
+{
+    for (GateId g : nl.dffs())
+        sigs.setNet(nl.gate(g).out, randomSignal(rng));
+    for (MemId m = 0; m < nl.numMemories(); ++m) {
+        for (Signal &cell : sigs.memCells(m))
+            cell = randomSignal(rng);
+    }
+    sigs.setNet(other, randomSignal(rng));
+}
+
+/** The per-slot reference capture. */
+SymState
+referenceCapture(const SymLayout &layout, const SignalState &sigs)
+{
+    SymState ref(layout);
+    for (size_t i = 0; i < layout.dffNets().size(); ++i)
+        ref.setSlot(layout.dffSlot(i), sigs.net(layout.dffNets()[i]));
+    for (const auto &[mem, base] : layout.mems()) {
+        const std::vector<Signal> &cells = sigs.memCells(mem);
+        for (size_t i = 0; i < cells.size(); ++i)
+            ref.setSlot(base + i, cells[i]);
+    }
+    return ref;
+}
+
+/** Every flop and writable cell of @p got equals @p want. */
+void
+expectSameState(const SymLayout &layout, const SignalState &want,
+                const SignalState &got)
+{
+    for (NetId n : layout.dffNets())
+        ASSERT_EQ(got.net(n), want.net(n)) << "flop net " << n;
+    for (const auto &[mem, base] : layout.mems()) {
+        const std::vector<Signal> &a = want.memCells(mem);
+        const std::vector<Signal> &b = got.memCells(mem);
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i)
+            ASSERT_EQ(b[i], a[i]) << "memory " << mem << " cell " << i;
+    }
+}
+
+TEST(SymStateDifferential, CaptureMatchesPerSlotReference)
+{
+    OddFixture f;
+    SymLayout layout(f.nl);
+    ASSERT_EQ(layout.slots(), 294u);
+    ASSERT_EQ(layout.mems().size(), 2u);
+    ASSERT_EQ(layout.mems()[0].second, 70u);
+    ASSERT_EQ(layout.mems()[1].second, 255u);
+    std::mt19937 rng(20261017);
+    SignalState sigs(f.nl);
+    // Reused across rounds: a capture must overwrite every slot of a
+    // state that already holds other contents.
+    SymState reused(layout);
+    for (int round = 0; round < 32; ++round) {
+        randomize(f.nl, sigs, rng, f.in);
+        const SymState ref = referenceCapture(layout, sigs);
+
+        SymState fresh;
+        fresh.capture(layout, sigs);
+        reused.capture(layout, sigs);
+        ASSERT_EQ(fresh.numSlots(), layout.slots());
+        for (size_t i = 0; i < layout.slots(); ++i) {
+            ASSERT_EQ(fresh.slot(i), ref.slot(i))
+                << "round " << round << " slot " << i;
+        }
+        // Whole planes, unused tail bits included.
+        EXPECT_EQ(fresh, ref);
+        EXPECT_EQ(reused, ref);
+    }
+}
+
+TEST(SymStateDifferential, RestoreWritesBackEverySlot)
+{
+    OddFixture f;
+    SymLayout layout(f.nl);
+    std::mt19937 rng(7);
+    for (int round = 0; round < 32; ++round) {
+        SCOPED_TRACE(round);
+        SignalState src(f.nl);
+        randomize(f.nl, src, rng, f.in);
+        SymState s;
+        s.capture(layout, src);
+
+        // Restore over different contents: every flop and writable
+        // cell is overwritten, the ROM and other nets are not.
+        SignalState dst(f.nl);
+        randomize(f.nl, dst, rng, f.in);
+        const SignalState untouched = dst;
+        s.restore(layout, dst);
+        expectSameState(layout, src, dst);
+        EXPECT_EQ(dst.memCells(1), untouched.memCells(1));
+        EXPECT_EQ(dst.net(f.in), untouched.net(f.in));
+
+        // capture -> restore -> capture round-trips.
+        SymState again;
+        again.capture(layout, dst);
+        EXPECT_EQ(again, s);
+    }
+}
+
+TEST(SymStateDifferential, SocLayoutRoundTrip)
+{
+    Soc soc;
+    const Netlist &nl = soc.netlist();
+    SymLayout layout(nl);
+    std::mt19937 rng(430);
+    SignalState src(nl);
+    randomize(nl, src, rng, soc.probes().extReset);
+
+    SymState s;
+    s.capture(layout, src);
+    EXPECT_EQ(s, referenceCapture(layout, src));
+
+    SignalState dst(nl);
+    s.restore(layout, dst);
+    expectSameState(layout, src, dst);
+    SymState again;
+    again.capture(layout, dst);
+    EXPECT_EQ(again, s);
 }
 
 TEST(StateTable, VisitLifecycle)

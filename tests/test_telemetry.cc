@@ -473,7 +473,9 @@ runCmd(const std::string &cmd)
 TEST(TelemetryEndToEnd, SigkillMidRunLeavesDecodableStream)
 {
     const std::string dir = tempDir("sigkill");
-    const std::string asmFile = materializeWorkload(dir, "tHold");
+    // The slowest registry workload: the run must outlast the first
+    // heartbeat (0.25 s) by a wide margin to be killed mid-run.
+    const std::string asmFile = materializeWorkload(dir, "inSort");
 
     int telPipe[2];
     ASSERT_EQ(::pipe(telPipe), 0);
@@ -550,7 +552,7 @@ TEST(TelemetryEndToEnd, StatusFileShowsLiveProgressBeforeAnyExit)
         std::ofstream out(manifestFile);
         out << "batch live fleet\n";
         for (int i = 1; i <= 4; ++i)
-            out << "job t" << i << "\n    workload tHold\n";
+            out << "job t" << i << "\n    workload inSort\n";
     }
     const std::string statusFile = dir + "/status.json";
 
