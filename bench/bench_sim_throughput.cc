@@ -6,15 +6,16 @@
  * merge -- the primitives the analysis engine's runtime (footnote 4)
  * is built from.
  *
- * The cycle benchmarks run the cross product of scheduling mode
- * (sweep:0 is the event-driven default, sweep:1 the full levelized
- * sweep; see DESIGN.md "Simulator scheduling") and evaluation backend
- * (interp:0 is the compiled bit-packed default, interp:1 the
- * per-signal table interpreter; DESIGN.md "Compiled evaluation"), and
- * report evals_per_cycle / skipped_per_cycle from the sim.* stats
- * registry deltas, plus a cycles_per_sec rate, so
- * BENCH_sim_throughput.json records the speedup and the
- * gate-evaluation reduction side by side.
+ * BM_ConcreteCycle runs a concrete loop on the compiled, event-driven
+ * Simulator, and BM_ReferenceCycle the same loop on ReferenceSim, the
+ * full-sweep table interpreter the differential tests compare against
+ * (DESIGN.md "Compiled event-driven evaluation"); CI normalizes by the
+ * latter. BM_SegmentReplay replays recorded tHold segments through
+ * PathSim::runSegment, the engine's own cycle loop, so its
+ * evals_per_cycle is the symbolic work an audit actually does. Cycle
+ * rows report cycles_per_sec and, from the sim.* stats registry
+ * deltas, evals_per_cycle / skipped_per_cycle, which
+ * BENCH_sim_throughput.json records side by side.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,10 +26,13 @@
 #include "base/stats.hh"
 #include "bench_common.hh"
 #include "ift/checkpoint.hh"
+#include "ift/path_sim.hh"
 #include "ift/symstate.hh"
 #include "netlist/stats.hh"
+#include "sim/reference_sim.hh"
 #include "soc/runner.hh"
 #include "soc/soc.hh"
+#include "workloads/workload.hh"
 
 using namespace glifs;
 
@@ -65,30 +69,28 @@ class SchedCounters
         stats::Snapshot s = stats::Registry::instance().snapshot();
         evals0 = s.value("sim.gate_evals");
         skipped0 = s.value("sim.gate_evals_skipped");
-        edges0 = s.value("sim.clock_edges");
     }
 
+    /** @p cycles: simulated cycles in the timing loop. */
     void
-    report(benchmark::State &state) const
+    report(benchmark::State &state, double cycles) const
     {
         stats::Snapshot s = stats::Registry::instance().snapshot();
-        const double edges = s.value("sim.clock_edges") - edges0;
         const double evals = s.value("sim.gate_evals") - evals0;
         const double skipped =
             s.value("sim.gate_evals_skipped") - skipped0;
-        if (edges > 0) {
-            state.counters["evals_per_cycle"] = evals / edges;
-            state.counters["skipped_per_cycle"] = skipped / edges;
+        // ReferenceSim records no stats: no scheduling figures.
+        if (cycles > 0 && evals + skipped > 0) {
+            state.counters["evals_per_cycle"] = evals / cycles;
+            state.counters["skipped_per_cycle"] = skipped / cycles;
         }
-        state.counters["cycles_per_sec"] = benchmark::Counter(
-            static_cast<double>(state.iterations()),
-            benchmark::Counter::kIsRate);
+        state.counters["cycles_per_sec"] =
+            benchmark::Counter(cycles, benchmark::Counter::kIsRate);
     }
 
   private:
     double evals0 = 0;
     double skipped0 = 0;
-    double edges0 = 0;
 };
 
 void
@@ -96,59 +98,110 @@ BM_ConcreteCycle(benchmark::State &state)
 {
     Soc &soc = sharedSoc();
     SocRunner runner(soc);
-    runner.simulator().setFullSweepMode(state.range(0) != 0);
-    runner.simulator().setBackend(state.range(1) != 0
-                                      ? SimBackend::Interp
-                                      : SimBackend::Packed);
     runner.load(loopImage());
     runner.reset();
     const size_t gates = computeStats(soc.netlist()).trackedGates();
     SchedCounters sched;
     for (auto _ : state)
         runner.stepCycle();
-    sched.report(state);
+    sched.report(state, static_cast<double>(state.iterations()));
     state.SetItemsProcessed(state.iterations() * gates);
     state.counters["gates"] = static_cast<double>(gates);
 }
-BENCHMARK(BM_ConcreteCycle)
-    ->ArgNames({"sweep", "interp"})
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1});
+BENCHMARK(BM_ConcreteCycle);
 
+/** SocRunner's concrete input drive (ports at 0) on the reference. */
 void
-BM_SymbolicCycle(benchmark::State &state)
+driveConcrete(ReferenceSim &sim, bool reset)
 {
-    // Same cycle loop but with unknown tainted inputs on every port.
-    Soc &soc = sharedSoc();
-    Simulator sim(soc.netlist());
-    sim.setFullSweepMode(state.range(0) != 0);
-    sim.setBackend(state.range(1) != 0 ? SimBackend::Interp
-                                       : SimBackend::Packed);
-    soc.loadProgram(sim.state(), loopImage());
-    sim.markAllDirty();
-    const SocProbes &prb = soc.probes();
-    sim.setInput(prb.extReset, sigOne());
+    const SocProbes &prb = sharedSoc().probes();
+    sim.setInput(prb.extReset, sigBool(reset));
     for (unsigned p = 0; p < 4; ++p) {
         for (unsigned b = 0; b < 16; ++b)
-            sim.setInput(prb.portIn[p][b], Signal{Tern::X, true});
+            sim.setInput(prb.portIn[p][b], sigZero());
     }
+}
+
+void
+BM_ReferenceCycle(benchmark::State &state)
+{
+    // BM_ConcreteCycle's loop, one SocRunner::stepCycle() per
+    // iteration, on the full-sweep table interpreter.
+    Soc &soc = sharedSoc();
+    ReferenceSim sim(soc.netlist());
+    soc.loadProgram(sim.state(), loopImage());
+    driveConcrete(sim, true);
     sim.step();
-    sim.setInput(prb.extReset, sigZero());
+    const MemId ram = soc.probes().dataMem;
+    for (size_t w = 0; w < soc.netlist().memory(ram).words; ++w)
+        sim.setMemWord(ram, w, 0);
     const size_t gates = computeStats(soc.netlist()).trackedGates();
     SchedCounters sched;
-    for (auto _ : state)
+    for (auto _ : state) {
+        driveConcrete(sim, false);
         sim.step();
-    sched.report(state);
+    }
+    sched.report(state, static_cast<double>(state.iterations()));
     state.SetItemsProcessed(state.iterations() * gates);
 }
-BENCHMARK(BM_SymbolicCycle)
-    ->ArgNames({"sweep", "interp"})
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1});
+BENCHMARK(BM_ReferenceCycle);
+
+/**
+ * Up to @p limit segment starts along one tHold path: from the
+ * engine's post-reset state, follow each segment's commit, and at an
+ * unknown PC take the first candidate successor.
+ */
+std::vector<SymState>
+recordSegmentStarts(PathSim &ps, size_t limit)
+{
+    ps.loadProgram();
+    ps.setInputs(true);
+    ps.sim.step();
+    SymState s(ps.layout);
+    s.capture(ps.layout, ps.sim.state());
+    std::vector<SymState> starts;
+    while (starts.size() < limit) {
+        starts.push_back(s);
+        SegmentResult r = ps.runSegment(s);
+        if (r.halted)
+            break;
+        if (!r.pcUnknown) {
+            s = std::move(r.end);
+            continue;
+        }
+        bool overflow = false;
+        const std::vector<uint16_t> pcs =
+            ps.candidatePcs(r.endInstr, r.end, overflow);
+        if (pcs.empty())
+            break;
+        s = ps.concretizePc(r.end, pcs.front());
+    }
+    return starts;
+}
+
+void
+BM_SegmentReplay(benchmark::State &state)
+{
+    // The symbolic cycle as the engine runs it: restore a recorded
+    // segment start, then settle, check and clock to its end.
+    static const Workload &w = workloadByName("tHold");
+    static const Policy policy = w.policy();
+    static const ProgramImage image = w.image();
+    PathSim ps(sharedSoc(), policy, EngineConfig{}, image);
+    const std::vector<SymState> starts = recordSegmentStarts(ps, 64);
+    SchedCounters sched;
+    uint64_t cycles = 0;
+    size_t next = 0;
+    for (auto _ : state) {
+        const SegmentResult r = ps.runSegment(starts[next]);
+        benchmark::DoNotOptimize(r.cycles);
+        cycles += r.cycles;
+        next = (next + 1) % starts.size();
+    }
+    sched.report(state, static_cast<double>(cycles));
+    state.counters["segments"] = static_cast<double>(starts.size());
+}
+BENCHMARK(BM_SegmentReplay);
 
 void
 BM_SymStateCapture(benchmark::State &state)

@@ -139,7 +139,7 @@ struct WorkerSlot
 };
 
 /**
- * The worker fleet, as the driver's segment source (DESIGN.md §11).
+ * The worker fleet, as the driver's segment source (DESIGN.md §10).
  * It only ever changes *when* a segment is simulated, never what it
  * computes: the driver in ift/engine.cc owns the run and applies every
  * segment, fetched or inline, in serial order.

@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing parallel symbolic exploration (DESIGN.md §11).
+ * Work-stealing parallel symbolic exploration (DESIGN.md §10).
  *
  * ParallelEngine runs the engine's one Algorithm-1 driver
  * (IftEngine::run) with a worker fleet plugged in as its

@@ -1,6 +1,6 @@
 /**
  * @file
- * Wire formats of the parallel exploration subsystem (DESIGN.md §11).
+ * Wire formats of the parallel exploration subsystem (DESIGN.md §10).
  *
  * Work travels coordinator -> worker as an ordinary versioned
  * EngineCheckpoint whose frontier holds the shipped execution points

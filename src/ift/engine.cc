@@ -195,10 +195,8 @@ struct RunCtx
         std::optional<BudgetEvent> ev = gov.poll();
         if (!ev)
             return CycleAction::Continue;
-        if (unrestored) {
-            unrestored->restore(ps.layout, ps.sim.state());
-            ps.sim.markAllDirty();
-        }
+        if (unrestored)
+            ps.restore(*unrestored);
         const uint16_t at = ps.tryBusValue(ps.soc.probes().instrAddrQ);
         if (ev->severity == BudgetSeverity::Hard) {
             recordDegradation(DegradeLevel::PartialStop, ev->kind,
@@ -233,7 +231,7 @@ struct RunCtx
      * every cycle, so a segment that would cross a cycle budget
      * mid-flight runs inline, where the stop or escalation lands on
      * the exact cycle. Wall-clock and RSS budgets fire at the next
-     * segment boundary instead (DESIGN.md §11).
+     * segment boundary instead (DESIGN.md §10).
      */
     uint64_t
     cycleRoom() const
@@ -404,8 +402,7 @@ struct RunCtx
             if (!simHoldsEnd) {
                 // The scan reads the data-memory cells out of the
                 // simulator; put the segment's end state there.
-                end.restore(ps.layout, ps.sim.state());
-                ps.sim.markAllDirty();
+                ps.restore(end);
             }
             ps.checker.checkMemoryInvariant(ps.sim, instr_addr,
                                             totalCycles, log);

@@ -27,6 +27,8 @@ void
 PathSim::loadProgram()
 {
     soc.loadProgram(sim.state(), image);
+    // The image went into the program memory cells directly.
+    sim.markAllDirty();
     if (policy.taintCodeInProgMem) {
         for (const CodePartition &p : policy.code) {
             if (!p.tainted)
@@ -38,6 +40,13 @@ PathSim::loadProgram()
             }
         }
     }
+}
+
+void
+PathSim::restore(const SymState &s)
+{
+    s.restore(layout, sim.state());
+    sim.markAllDirty();
 }
 
 void
@@ -215,7 +224,7 @@ PathSim::starSaturate(BitPlane *everTainted)
     GLIFS_TRACE_INSTANT("engine", "star_saturate");
     // Bulk mutation of flop outputs and memory cells below
     // bypasses the simulator's tracked setters; invalidate its
-    // dirty set so the settle is a full sweep.
+    // dirty set so the settle runs every unit.
     sim.markAllDirty();
     const Netlist &nl = soc.netlist();
     for (GateId g : nl.dffs())
@@ -272,10 +281,7 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
     };
     const SocProbes &prb = soc.probes();
 
-    start.restore(layout, sim.state());
-    // The restore rewrote every flop and memory cell behind the
-    // scheduler's back; the first settle of the segment must sweep.
-    sim.markAllDirty();
+    restore(start);
     GLIFS_ASSERT(statePcXBits(start).empty(),
                  "segment start with unknown PC");
 
@@ -375,8 +381,7 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
             // The fork chain is bounded by the next PC-changing
             // commit, where the normal state-table subsumption
             // applies.
-            pre.restore(layout, sim.state());
-            sim.markAllDirty();
+            restore(pre);
             setInputs(false);
             sim.evalComb();
             sim.setNet(prb.porNet, Signal{Tern::Zero, por.taint});

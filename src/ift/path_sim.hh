@@ -14,7 +14,7 @@
  * (those only affect what the *driver* does with the segment end).
  * That purity is what lets worker processes execute segments
  * speculatively while the driver applies them in strict serial order
- * (DESIGN.md §11).
+ * (DESIGN.md §10).
  *
  * A segment captures the full symbolic state (SymState) only where the
  * driver needs it: at its end (commit, unknown PC or hook Stop) and at
@@ -125,6 +125,14 @@ class PathSim
      *  3). Program ROM is not part of the captured symbolic state, so
      *  this also re-establishes it when resuming a checkpoint. */
     void loadProgram();
+
+    /**
+     * Put a captured state back into the simulator. The only way a
+     * SymState re-enters it: the bulk write bypasses the simulator's
+     * dirty tracking, so this also invalidates it (the next settle
+     * runs every unit).
+     */
+    void restore(const SymState &s);
 
     /** Drive reset and port inputs for one cycle. */
     void setInputs(bool reset);

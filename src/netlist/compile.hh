@@ -8,8 +8,8 @@
  * interleaved with the memory read ports, which stay interpreted.
  * Units execute in index order; every producer lands in a strictly
  * earlier unit than all of its consumers, so a dirty-unit bitset
- * drained in ascending order settles the netlist exactly like the
- * per-node level scheduler (DESIGN.md "Compiled evaluation").
+ * drained in ascending order settles the netlist exactly like a full
+ * levelized sweep (DESIGN.md "Compiled event-driven evaluation").
  *
  * Signals do not live at their NetId bit position: the compiler
  * assigns every net a *slot* in a permuted plane space where each
@@ -22,8 +22,8 @@
  * many lanes of a batch (clock enables, resets, mux selects) use
  * broadcast ops that smear a single plane bit across the lane mask.
  *
- * Flip-flops latch at the clock edge, staged exactly like the
- * interpreter, but packed as well: dffWords of up to 64 flops whose Q
+ * Flip-flops latch at the clock edge, staged (every next state is
+ * computed before any is committed) and packed as well: dffWords of up to 64 flops whose Q
  * slots are one dedicated word (commit is a word write), with gather
  * programs for D/RST/EN and a per-lane reset-value mask, evaluated by
  * dffNextKernel(). Edge work is event-driven too: the consumer index

@@ -11,8 +11,8 @@
  * scalar SignalState so the rest of the system keeps a single
  * readable source of truth.
  *
- * Coherence contract: whenever the planes are valid (the Simulator's
- * planesValid flag), every net's slot equals sigs.net(net). The run
+ * Coherence contract: from an importState() until the Simulator's
+ * next markAllDirty(), every net's slot equals sigs.net(net). The run
  * methods report the nets they changed through changedNets so the
  * caller can mirror them; writes coming from outside go through
  * setNetPlanes().
@@ -42,7 +42,7 @@ class PackedEval
     /** Rebuild every net's slot from @p sigs (planes become valid). */
     void importState(const SignalState &sigs);
 
-    /** Overwrite one net's slot (planes must be valid). */
+    /** Overwrite one net's slot (planes must be coherent). */
     void
     setNetPlanes(NetId net, const Signal &s)
     {
@@ -121,7 +121,7 @@ class PackedEval
     /**
      * Stage dff word @p i's next state from the current (settled)
      * planes. Nothing is written back until commitDffWord(), so the
-     * clock edge stays atomic exactly like the interpreted path.
+     * clock edge stays atomic.
      */
     void computeDffWord(uint32_t i);
 

@@ -1,12 +1,10 @@
 #include "sim/simulator.hh"
 
 #include <bit>
-#include <cstdlib>
 
-#include "base/logging.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
-#include "logic/glift.hh"
+#include "netlist/levelize.hh"
 #include "sim/packed_eval.hh"
 
 namespace glifs
@@ -24,7 +22,7 @@ struct SimStats
                             "individual gate/step evaluations"};
     stats::Scalar gateEvalsSkipped{
         "sim.gate_evals_skipped",
-        "scheduled evaluations skipped as clean (event-driven)"};
+        "scheduled evaluations skipped as clean"};
     stats::Scalar clockEdges{"sim.clock_edges", "clock edges latched"};
     stats::Scalar memReadEvals{"sim.mem_read_evals",
                                "memory read-port evaluations"};
@@ -32,9 +30,7 @@ struct SimStats
                                   "memory write-port commits"};
     stats::Scalar packedWordEvals{
         "sim.packed_word_evals",
-        "bit-packed kernel word applications (packed backend)"};
-    stats::Gauge backend{"sim.backend",
-                         "active backend: 1 = packed, 0 = interpreted"};
+        "bit-packed kernel word applications"};
     stats::Formula dirtyRatio{
         "sim.dirty_ratio",
         "fraction of scheduled evaluations actually run",
@@ -64,46 +60,17 @@ simStats()
     return SimStats::simStats();
 }
 
-/** True iff env var @p name is set to anything but "" or "0". */
-bool
-envFlag(const char *name)
-{
-    const char *e = std::getenv(name);
-    return e && *e && !(e[0] == '0' && e[1] == '\0');
-}
-
-/** GLIFS_SIM_FULL_SWEEP=1 forces full sweeps. */
-bool
-envFullSweep()
-{
-    return envFlag("GLIFS_SIM_FULL_SWEEP");
-}
-
-/** GLIFS_SIM_INTERP=1 selects the interpreted backend. */
-bool
-envInterp()
-{
-    return envFlag("GLIFS_SIM_INTERP");
-}
-
 } // namespace
 
-Simulator::Simulator(const Netlist &netlist)
-    : nl(netlist), order(levelize(netlist)),
-      fanout(buildFanoutIndex(netlist, order)), sigs(netlist),
-      fullSweep(envFullSweep()),
-      backendSel(envInterp() ? SimBackend::Interp : SimBackend::Packed)
+Simulator::Simulator(const Netlist &netlist) : nl(netlist), sigs(netlist)
 {
-    dirtyWords.assign((fanout.numNodes() + 63) / 64, 0);
-    levelWork.resize(fanout.numLevels);
-    dffNextScratch.reserve(nl.dffs().size());
+    const std::vector<EvalStep> order = levelize(netlist);
+    scheduleSize = order.size();
+    packed = std::make_unique<PackedEval>(nl, order);
     writeScratch.resize(nl.numMemories());
     for (MemId m = 0; m < nl.numMemories(); ++m)
         writeScratch[m].data.resize(nl.memory(m).width);
     activeWrites.reserve(nl.numMemories());
-    if (backendSel == SimBackend::Packed)
-        packed = std::make_unique<PackedEval>(nl, order);
-    simStats().backend.set(backendSel == SimBackend::Packed ? 1 : 0);
 }
 
 Simulator::Simulator(Simulator &&) noexcept = default;
@@ -111,206 +78,27 @@ Simulator::Simulator(Simulator &&) noexcept = default;
 Simulator::~Simulator() = default;
 
 void
-Simulator::setBackend(SimBackend b)
-{
-    if (b == backendSel)
-        return;
-    backendSel = b;
-    if (b == SimBackend::Packed && !packed)
-        packed = std::make_unique<PackedEval>(nl, order);
-    // Neither backend's dirty tracking covered changes made while the
-    // other one was active; start from a clean slate.
-    markAllDirty();
-    simStats().backend.set(b == SimBackend::Packed ? 1 : 0);
-}
-
-void
-Simulator::markNodeDirty(uint32_t node)
-{
-    uint64_t &w = dirtyWords[node >> 6];
-    const uint64_t bit = 1ULL << (node & 63);
-    if (w & bit)
-        return;
-    w |= bit;
-    levelWork[fanout.levelOf[node]].push_back(node);
-}
-
-void
-Simulator::markNetFanoutDirty(NetId net)
-{
-    for (uint32_t c : fanout.consumersOf(net))
-        markNodeDirty(c);
-}
-
-void
 Simulator::setNet(NetId net, const Signal &s)
 {
     if (sigs.net(net) == s)
         return;
     sigs.setNet(net, s);
-    // Keep the planes coherent whenever they are valid, even while
-    // allDirty/fullSweep suppress dirty tracking (e.g. an override
-    // between a stale-plane import and the next settle).
-    if (backendSel == SimBackend::Packed && planesValid)
-        packed->setNetPlanes(net, s);
-    if (allDirty || fullSweep)
-        return;
+    if (allDirty)
+        return;  // the next settle re-imports every net
     // A driven net must be recomputed from its driver at the next
     // settle, so the override behaves exactly like under a full sweep
     // (visible to the clock edge, gone after the next evalComb()).
-    if (backendSel == SimBackend::Packed) {
-        packed->markConsumersDirty(net);
-        packed->markProducerDirty(net);
-        return;
-    }
-    markNetFanoutDirty(net);
-    if (nl.memDriven(net)) {
-        markNodeDirty(fanout.memNode(nl.memDriver(net)));
-    } else {
-        GateId d = nl.driverOf(net);
-        if (d != static_cast<GateId>(-1) &&
-            nl.gate(d).type == GateType::Comb) {
-            markNodeDirty(fanout.gateNode(d));
-        }
-    }
+    packed->setNetPlanes(net, s);
+    packed->markConsumersDirty(net);
+    packed->markProducerDirty(net);
 }
 
 void
 Simulator::setMemWord(MemId mem, size_t word, uint64_t value, bool taint)
 {
     sigs.setMemWord(nl, mem, word, value, taint);
-    markMemDirty(mem);
-}
-
-void
-Simulator::markMemDirty(MemId mem)
-{
-    if (allDirty || fullSweep)
-        return;
-    if (backendSel == SimBackend::Packed)
+    if (!allDirty)
         packed->markMemUnitDirty(mem);
-    else
-        markNodeDirty(fanout.memNode(mem));
-}
-
-void
-Simulator::setFullSweepMode(bool on)
-{
-    fullSweep = on;
-    // Leaving full-sweep mode: changes made while it was on were not
-    // tracked, so nothing short of a full sweep is known clean.
-    if (!on)
-        markAllDirty();
-}
-
-void
-Simulator::evalGate(GateId gid, const GliftTables &glift, bool track)
-{
-    const Gate &g = nl.gate(gid);
-    Signal in[3];
-    const unsigned arity = gateArity(g.kind);
-    for (unsigned i = 0; i < arity; ++i)
-        in[i] = sigs.net(g.in[i]);
-    const Signal out = glift.eval(g.kind, in);
-    const Signal prev = sigs.net(g.out);
-    if (out == prev)
-        return;
-    if (togglesOn && prev.value != out.value)
-        ++toggles.combToggles[static_cast<size_t>(g.kind)];
-    sigs.setNet(g.out, out);
-    if (track)
-        markNetFanoutDirty(g.out);
-}
-
-void
-Simulator::evalMemRead(MemId m, bool track)
-{
-    const MemoryDecl &decl = nl.memory(m);
-    addrScratch.resize(decl.readAddr.size());
-    for (size_t i = 0; i < addrScratch.size(); ++i)
-        addrScratch[i] = sigs.net(decl.readAddr[i]);
-
-    MemAddr ma =
-        decodeMemAddr(addrScratch, decl.words, decl.maxUnknownAddrBits);
-    if (!decl.addrTaintsRead)
-        ma.tainted = false;
-    dataScratch.resize(decl.width);
-    memoryRead(sigs.memCells(m), decl.width, decl.words, ma,
-               dataScratch);
-    for (unsigned b = 0; b < decl.width; ++b) {
-        const NetId rd = decl.readData[b];
-        if (sigs.net(rd) == dataScratch[b])
-            continue;
-        sigs.setNet(rd, dataScratch[b]);
-        if (track)
-            markNetFanoutDirty(rd);
-    }
-}
-
-void
-Simulator::evalFull()
-{
-    SimStats &st = simStats();
-    st.gateEvals += order.size();
-    const GliftTables &glift = GliftTables::instance();
-    for (const EvalStep &step : order) {
-        if (step.kind == EvalStep::Kind::MemRead) {
-            ++st.memReadEvals;
-            evalMemRead(step.index, /*track=*/false);
-            continue;
-        }
-        evalGate(step.index, glift, /*track=*/false);
-    }
-    // Every node was just recomputed: the pending dirty set is moot.
-    for (std::vector<uint32_t> &bucket : levelWork) {
-        for (uint32_t node : bucket)
-            dirtyWords[node >> 6] &= ~(1ULL << (node & 63));
-        bucket.clear();
-    }
-    allDirty = false;
-}
-
-void
-Simulator::evalComb()
-{
-    SimStats &st = simStats();
-    ++st.combEvals;
-    if (backendSel == SimBackend::Packed) {
-        evalCombPacked();
-        return;
-    }
-    if (fullSweep || allDirty) {
-        evalFull();
-        return;
-    }
-
-    const GliftTables &glift = GliftTables::instance();
-    size_t evaluated = 0;
-    // Drain levels in ascending order. A node's consumers all sit on
-    // strictly higher levels, so a bucket never grows while it drains
-    // and each node runs at most once per settle.
-    for (std::vector<uint32_t> &bucket : levelWork) {
-        for (size_t i = 0; i < bucket.size(); ++i) {
-            const uint32_t node = bucket[i];
-            dirtyWords[node >> 6] &= ~(1ULL << (node & 63));
-            ++evaluated;
-            if (fanout.isMemNode(node)) {
-                ++st.memReadEvals;
-                evalMemRead(fanout.memOf(node), /*track=*/true);
-            } else {
-                evalGate(node, glift, /*track=*/true);
-            }
-        }
-        bucket.clear();
-    }
-    st.gateEvals += evaluated;
-    st.gateEvalsSkipped += order.size() - evaluated;
-
-    trace::Tracer &tr = trace::Tracer::instance();
-    if (tr.enabled()) {
-        tr.counter("sim", "dirty_nodes",
-                   static_cast<double>(evaluated));
-    }
 }
 
 void
@@ -337,76 +125,14 @@ Simulator::stageMemWrites()
 }
 
 void
-Simulator::clockEdge()
-{
-    if (backendSel == SimBackend::Packed) {
-        clockEdgePacked();
-        return;
-    }
-    const bool track = !fullSweep && !allDirty;
-
-    // Compute all flip-flop next states from the settled nets...
-    dffNextScratch.clear();
-    for (GateId gid : nl.dffs()) {
-        const Gate &g = nl.gate(gid);
-        dffNextScratch.push_back(
-            dffNext(sigs.net(g.in[0]), sigs.net(g.in[1]),
-                    sigs.net(g.in[2]), sigs.net(g.out), g.rstVal));
-    }
-
-    // ... and all memory write-port updates, before committing
-    // anything, so the edge is atomic.
-    stageMemWrites();
-
-    // Commit. A flip-flop whose output actually changed (value or
-    // taint) seeds the next cycle's dirty set through its fanout.
-    size_t i = 0;
-    for (GateId gid : nl.dffs()) {
-        const Gate &g = nl.gate(gid);
-        const Signal prev = sigs.net(g.out);
-        const Signal &next = dffNextScratch[i];
-        ++i;
-        if (prev == next)
-            continue;
-        if (togglesOn && prev.value != next.value)
-            ++toggles.dffToggles;
-        sigs.setNet(g.out, next);
-        if (track)
-            markNetFanoutDirty(g.out);
-    }
-    SimStats &st = simStats();
-    ++st.clockEdges;
-    for (MemId m : activeWrites) {
-        const MemoryDecl &decl = nl.memory(m);
-        const PendingWrite &w = writeScratch[m];
-        memoryWrite(sigs.memCells(m), decl.width, decl.words, w.addr,
-                    w.we, w.data);
-        ++st.memWriteCommits;
-        if (togglesOn)
-            ++toggles.memWrites;
-        // Cells may have changed: the read port must re-evaluate.
-        if (track)
-            markNodeDirty(fanout.memNode(m));
-    }
-
-    ++cycleCount;
-    if (togglesOn)
-        ++toggles.cycles;
-}
-
-// ---------------------------------------------------------------------
-// Packed backend
-// ---------------------------------------------------------------------
-
-void
-Simulator::runUnitPacked(uint32_t unit, bool track, size_t &evaluated,
-                         size_t &wordEvals)
+Simulator::runUnit(uint32_t unit, bool track, size_t &evaluated,
+                   size_t &wordEvals)
 {
     PackedEval &pe = *packed;
     const EvalUnit &u = pe.program().units[unit];
     if (u.kind == EvalUnit::Kind::MemRead) {
         ++simStats().memReadEvals;
-        evalMemReadPacked(u.index, track);
+        evalMemRead(u.index, track);
         ++evaluated;
         return;
     }
@@ -427,7 +153,7 @@ Simulator::runUnitPacked(uint32_t unit, bool track, size_t &evaluated,
 }
 
 void
-Simulator::evalMemReadPacked(MemId m, bool track)
+Simulator::evalMemRead(MemId m, bool track)
 {
     PackedEval &pe = *packed;
     const MemoryDecl &decl = nl.memory(m);
@@ -454,32 +180,22 @@ Simulator::evalMemReadPacked(MemId m, bool track)
 }
 
 void
-Simulator::evalCombPacked()
+Simulator::evalComb()
 {
     SimStats &st = simStats();
+    ++st.combEvals;
     PackedEval &pe = *packed;
-    if (!planesValid) {
-        pe.importState(sigs);
-        planesValid = true;
-    }
-
     size_t evaluated = 0;  // gate lanes + mem read ports actually run
     size_t wordEvals = 0;
-    const size_t numUnits = pe.program().units.size();
-    if (fullSweep || allDirty) {
+    if (allDirty) {
+        pe.importState(sigs);
         pe.clearAllDirty();
+        const size_t numUnits = pe.program().units.size();
         for (uint32_t u = 0; u < numUnits; ++u)
-            runUnitPacked(u, /*track=*/false, evaluated, wordEvals);
+            runUnit(u, /*track=*/false, evaluated, wordEvals);
         // The settle recomputed every comb net without tracking, so
         // the next edge must consider every flip-flop.
         pe.markAllDffDirty();
-        // Everything was just recomputed: pending interp-side dirty
-        // state is moot too (mirrors evalFull()).
-        for (std::vector<uint32_t> &bucket : levelWork) {
-            for (uint32_t node : bucket)
-                dirtyWords[node >> 6] &= ~(1ULL << (node & 63));
-            bucket.clear();
-        }
         allDirty = false;
     } else {
         // Drain dirty units in ascending index order. Compilation
@@ -492,13 +208,13 @@ Simulator::evalCombPacked()
                 const unsigned b =
                     static_cast<unsigned>(std::countr_zero(bits));
                 ud[w] &= ~(1ULL << b);
-                runUnitPacked(static_cast<uint32_t>((w << 6) + b),
-                              /*track=*/true, evaluated, wordEvals);
+                runUnit(static_cast<uint32_t>((w << 6) + b),
+                        /*track=*/true, evaluated, wordEvals);
             }
         }
     }
     st.gateEvals += evaluated;
-    st.gateEvalsSkipped += order.size() - evaluated;
+    st.gateEvalsSkipped += scheduleSize - evaluated;
     st.packedWordEvals += wordEvals;
 
     trace::Tracer &tr = trace::Tracer::instance();
@@ -509,17 +225,14 @@ Simulator::evalCombPacked()
 }
 
 void
-Simulator::clockEdgePacked()
+Simulator::clockEdge()
 {
     PackedEval &pe = *packed;
-    // clockEdge() may legally run while the planes are stale (e.g. a
-    // restore + override sequence that never settled); latch from a
-    // fresh mirror of the scalar state, exactly what interp reads.
-    if (!planesValid) {
+    // An edge may follow markAllDirty() without a settle: latch from a
+    // fresh import, and leave the dirty set invalid for the next one.
+    const bool track = !allDirty;
+    if (!track)
         pe.importState(sigs);
-        planesValid = true;
-    }
-    const bool track = !fullSweep && !allDirty;
 
     // Select the flip-flop words to latch. A word none of whose
     // D/RST/EN/Q nets changed since its last computation latches its

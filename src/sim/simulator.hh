@@ -8,24 +8,16 @@
  *  - symbolic simulation (X inputs) as the single-cycle step primitive
  *    of the paper's input-independent taint tracking (Algorithm 1).
  *
- * Scheduling is event-driven by default (DESIGN.md "Simulator
- * scheduling"): a precomputed fanout index maps every changed net to
- * the combinational gates and memory read ports it feeds, and
- * evalComb() re-evaluates only those, draining per-level worklists in
- * dependency order. Because every gate is a pure function of its input
- * signals, a node none of whose inputs changed cannot change its
- * output, so the event-driven settle is bit-identical (values and
- * taints) to the full levelized sweep -- which remains available via
- * setFullSweepMode() or the GLIFS_SIM_FULL_SWEEP=1 environment
- * variable for A/B measurement and differential testing.
- *
- * Evaluation itself is compiled by default (DESIGN.md "Compiled
- * evaluation"): the netlist is lowered once into bit-packed plane
- * programs (netlist/compile.hh) and settles run up to 64 gates per
- * bitwise kernel application, with dirty tracking over compiled units
- * instead of individual nodes. GLIFS_SIM_INTERP=1 (or
- * setBackend(SimBackend::Interp)) falls back to the per-signal table
- * interpreter; sweep mode and backend are orthogonal axes.
+ * Evaluation is compiled and event-driven (DESIGN.md "Compiled
+ * event-driven evaluation"): the netlist is lowered once into
+ * bit-packed plane programs (netlist/compile.hh), a settle runs up to
+ * 64 gates per bitwise kernel application, and only the compiled units
+ * (and, at the clock edge, the flip-flop words) whose inputs changed
+ * run again. Every gate is a pure function of its inputs, so skipping
+ * a unit none of whose inputs changed is exact: the result is
+ * bit-identical, values and taints, to sweeping the whole levelized
+ * schedule, which ReferenceSim (sim/reference_sim.hh) does as the
+ * differential-test reference.
  */
 
 #ifndef GLIFS_SIM_SIMULATOR_HH
@@ -35,8 +27,6 @@
 #include <memory>
 #include <vector>
 
-#include "netlist/fanout.hh"
-#include "netlist/levelize.hh"
 #include "netlist/memory_array.hh"
 #include "netlist/netlist.hh"
 #include "sim/signal_state.hh"
@@ -45,18 +35,7 @@
 namespace glifs
 {
 
-class GliftTables;
 class PackedEval;
-
-/**
- * Evaluation backend. Packed (the default) runs the netlist compiled
- * into bit-parallel plane kernels (netlist/compile.hh), 64 same-kind
- * gates per word op; Interp is the one-signal-at-a-time table
- * interpreter, kept as the bisection escape hatch
- * (GLIFS_SIM_INTERP=1) and differential-test oracle. Both produce
- * bit-identical values and taints on every net.
- */
-enum class SimBackend : uint8_t { Packed, Interp };
 
 /**
  * Gate-level cycle simulator. The netlist must outlive the simulator.
@@ -72,75 +51,43 @@ class Simulator
     SignalState &state() { return sigs; }
     const SignalState &state() const { return sigs; }
 
-    /** Replace the whole simulation state (used by symbolic restore). */
-    void
-    setState(const SignalState &s)
-    {
-        sigs = s;
-        markAllDirty();
-    }
-
-    void
-    setState(SignalState &&s)
-    {
-        sigs = std::move(s);
-        markAllDirty();
-    }
-
     /** Drive a primary input (or any undriven net). */
     void setInput(NetId net, const Signal &s) { setNet(net, s); }
 
     /**
-     * Tracked override of any net. A change marks the net's fanout
-     * dirty; if a combinational gate or memory read port drives the
-     * net, that driver is marked too, so the override cannot outlive
-     * the next evalComb() (full-sweep parity: the sweep recomputes
-     * every driven net each settle).
+     * Tracked override of any net. A change marks the units reading
+     * the net dirty; if a compiled unit drives the net, that unit is
+     * marked too, so the override is visible to the next clockEdge()
+     * but cannot outlive the next evalComb() (full-sweep parity: the
+     * sweep recomputes every driven net each settle).
      */
     void setNet(NetId net, const Signal &s);
 
     /**
      * Store a concrete word into a memory block, keeping the read
      * port's dirty tracking consistent. External writers must use this
-     * (or markMemDirty()/markAllDirty()) instead of mutating
-     * state().memCells() behind the scheduler's back.
+     * (or markAllDirty()) instead of mutating state().memCells()
+     * behind the scheduler's back.
      */
     void setMemWord(MemId mem, size_t word, uint64_t value,
                     bool taint = false);
 
-    /** Mark a memory's read port for re-evaluation (cells changed). */
-    void markMemDirty(MemId mem);
-
     /**
-     * Invalidate the whole dirty set: the next evalComb() performs a
-     * full levelized sweep. Required after any bulk mutation of the
-     * SignalState that bypasses the tracked setters (symbolic state
-     * restore, checkpoint resume, *-logic saturation).
+     * Invalidate the planes and the whole dirty set: the next
+     * evalComb() re-imports the SignalState and runs every unit.
+     * Required after any bulk mutation of the SignalState that
+     * bypasses the tracked setters (symbolic state restore, program
+     * load, *-logic saturation).
      */
-    void
-    markAllDirty()
-    {
-        allDirty = true;
-        // The packed planes may no longer mirror the SignalState;
-        // re-import before the next packed pass.
-        planesValid = false;
-    }
-
-    /** Full-sweep escape hatch (also GLIFS_SIM_FULL_SWEEP=1). */
-    bool fullSweepMode() const { return fullSweep; }
-    void setFullSweepMode(bool on);
-
-    /** Backend selection (default Packed; also GLIFS_SIM_INTERP=1). */
-    SimBackend backend() const { return backendSel; }
-    void setBackend(SimBackend b);
+    void markAllDirty() { allDirty = true; }
 
     /** Current value of any net (after evalComb() for comb nets). */
     Signal netValue(NetId net) const { return sigs.net(net); }
 
     /**
      * Settle all combinational logic and memory read ports for the
-     * current cycle: only dirty nodes in event-driven mode, the whole
-     * levelized schedule in full-sweep mode or after markAllDirty().
+     * current cycle: only the dirty units, or every unit after
+     * markAllDirty().
      */
     void evalComb();
 
@@ -171,32 +118,23 @@ class Simulator
 
   private:
     const Netlist &nl;
-    std::vector<EvalStep> order;
-    FanoutIndex fanout;
+    size_t scheduleSize = 0;  ///< gates + read ports a sweep evaluates
     SignalState sigs;
     uint64_t cycleCount = 0;
     bool togglesOn = false;
     ToggleStats toggles;
 
-    // --- event-driven scheduler state --------------------------------
-    bool fullSweep = false;  ///< escape hatch: always sweep everything
-    bool allDirty = true;    ///< next settle must sweep everything
-
-    // --- packed backend ----------------------------------------------
-    SimBackend backendSel = SimBackend::Packed;
-    /** Compiled program + planes; created on first Packed selection. */
+    /** Compiled program, planes and unit/dff-word dirty sets. */
     std::unique_ptr<PackedEval> packed;
-    /** Planes mirror the SignalState net-for-net (else re-import). */
-    bool planesValid = false;
-    /** Node-space dirty bitset (deduplicates worklist inserts). */
-    std::vector<uint64_t> dirtyWords;
-    /** Per-level worklists of dirty nodes, drained in ascending order. */
-    std::vector<std::vector<uint32_t>> levelWork;
+    /**
+     * The planes and dirty sets do not reflect sigs: the next settle
+     * re-imports the planes and runs every unit (markAllDirty()).
+     */
+    bool allDirty = true;
 
     // --- reusable scratch buffers (no per-call heap allocation) ------
     std::vector<Signal> addrScratch;
     std::vector<Signal> dataScratch;
-    std::vector<Signal> dffNextScratch;
 
     /** One memory write port's pending edge update. */
     struct PendingWrite
@@ -209,25 +147,12 @@ class Simulator
     std::vector<MemId> activeWrites;         ///< memories written this edge
     std::vector<uint32_t> dffRunScratch;     ///< dff words latching this edge
 
-    void markNodeDirty(uint32_t node);
-    void markNetFanoutDirty(NetId net);
-
-    /** Evaluate one gate; propagate into the dirty set iff @p track. */
-    void evalGate(GateId g, const GliftTables &glift, bool track);
-    void evalMemRead(MemId m, bool track);
-
-    /** The full levelized sweep (allDirty / full-sweep mode). */
-    void evalFull();
-
-    // --- packed-backend paths ----------------------------------------
-    void evalCombPacked();
-    void clockEdgePacked();
     /** Run one compiled unit; mirrors changed nets into sigs. */
-    void runUnitPacked(uint32_t unit, bool track, size_t &evaluated,
-                       size_t &wordEvals);
+    void runUnit(uint32_t unit, bool track, size_t &evaluated,
+                 size_t &wordEvals);
     /** Memory read port with plane mirroring + unit marking. */
-    void evalMemReadPacked(MemId m, bool track);
-    /** Stage all memory write ports (shared by both edge paths). */
+    void evalMemRead(MemId m, bool track);
+    /** Stage every enabled memory write port for the edge. */
     void stageMemWrites();
 };
 

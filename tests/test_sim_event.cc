@@ -1,32 +1,29 @@
 /**
  * @file
- * Differential tests of the event-driven combinational scheduler
- * against the full levelized sweep (DESIGN.md "Simulator scheduling").
+ * Differential tests of the compiled, event-driven Simulator against
+ * ReferenceSim, the table interpreter that sweeps the whole levelized
+ * schedule every settle (DESIGN.md "Compiled event-driven evaluation").
  *
- * The event-driven evalComb() must be bit-identical -- values *and*
- * taints, every net and every memory cell, every cycle -- to the
- * unconditional sweep it replaced, and the compiled bit-packed
- * backend (DESIGN.md "Compiled evaluation") must be bit-identical to
- * the table interpreter it replaced. This file proves it three ways:
+ * The Simulator must be bit-identical to the reference -- values *and*
+ * taints, every net and every memory cell, every cycle -- and so must
+ * the toggle counts the energy model reads. This file proves it on
  * randomized netlists driven with randomized ternary/tainted stimulus
- * (including mid-cycle net overrides, external memory stores and dirty
- * -set invalidation) stepped as a packed / interpreted-event /
- * interpreted-sweep trio, the IoT430 SoC stepped symbolically in
- * lockstep comparing SymState captures, and whole analysis-engine
- * runs over benchmark workloads under GLIFS_SIM_FULL_SWEEP A/B.
+ * (including mid-cycle net overrides, external memory stores and
+ * dirty-set invalidation), on the IoT430 SoC run concretely to HALT and
+ * stepped symbolically in lockstep, and across PathSim::restore, the
+ * bulk state write every segment of the analysis starts with.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 
 #include "assembler/assembler.hh"
 #include "base/stats.hh"
-#include "ift/engine.hh"
+#include "ift/path_sim.hh"
 #include "ift/symstate.hh"
-#include "netlist/fanout.hh"
 #include "netlist/netlist.hh"
+#include "sim/reference_sim.hh"
 #include "sim/simulator.hh"
 #include "soc/runner.hh"
 #include "soc/soc.hh"
@@ -162,19 +159,19 @@ buildRandomDesign(std::mt19937 &rng)
 }
 
 ::testing::AssertionResult
-statesEqual(const Netlist &nl, const Simulator &a, const Simulator &b)
+statesEqual(const Netlist &nl, const SignalState &a, const SignalState &b)
 {
     for (NetId n = 0; n < nl.numNets(); ++n) {
-        if (!(a.netValue(n) == b.netValue(n))) {
+        if (!(a.net(n) == b.net(n))) {
             return ::testing::AssertionFailure()
                    << "net " << n << " (" << nl.net(n).name
-                   << "): event-driven " << a.netValue(n).str()
-                   << " vs full sweep " << b.netValue(n).str();
+                   << "): simulator " << a.net(n).str()
+                   << " vs reference " << b.net(n).str();
         }
     }
     for (MemId m = 0; m < nl.numMemories(); ++m) {
-        const auto &ca = a.state().memCells(m);
-        const auto &cb = b.state().memCells(m);
+        const auto &ca = a.memCells(m);
+        const auto &cb = b.memCells(m);
         for (size_t i = 0; i < ca.size(); ++i) {
             if (!(ca[i] == cb[i])) {
                 return ::testing::AssertionFailure()
@@ -187,32 +184,46 @@ statesEqual(const Netlist &nl, const Simulator &a, const Simulator &b)
     return ::testing::AssertionSuccess();
 }
 
+/** Every ToggleStats field the energy model reads. */
+::testing::AssertionResult
+togglesEqual(const ToggleStats &a, const ToggleStats &b)
+{
+    for (size_t k = 0; k < a.combToggles.size(); ++k) {
+        if (a.combToggles[k] != b.combToggles[k]) {
+            return ::testing::AssertionFailure()
+                   << "comb toggles of gate kind " << k << ": "
+                   << a.combToggles[k] << " vs " << b.combToggles[k];
+        }
+    }
+    if (a.dffToggles != b.dffToggles || a.memWrites != b.memWrites ||
+        a.cycles != b.cycles) {
+        return ::testing::AssertionFailure()
+               << "dff toggles " << a.dffToggles << " vs "
+               << b.dffToggles << ", memory writes " << a.memWrites
+               << " vs " << b.memWrites << ", cycles " << a.cycles
+               << " vs " << b.cycles;
+    }
+    return ::testing::AssertionSuccess();
+}
+
 void
 runDifferential(uint32_t seed, int cycles)
 {
     std::mt19937 rng(seed);
     RandomDesign d = buildRandomDesign(rng);
 
-    // Three-way: the compiled packed backend (the event-driven
-    // default), the interpreted event-driven scheduler and the
-    // interpreted full sweep must agree bit for bit, every cycle.
-    Simulator evt(d.nl);
-    Simulator interpEvt(d.nl);
-    interpEvt.setBackend(SimBackend::Interp);
-    Simulator full(d.nl);
-    full.setBackend(SimBackend::Interp);
-    full.setFullSweepMode(true);
-    ASSERT_FALSE(evt.fullSweepMode());
-    ASSERT_EQ(evt.backend(), SimBackend::Packed);
-    Simulator *const sims[] = {&evt, &interpEvt, &full};
+    Simulator sim(d.nl);
+    ReferenceSim ref(d.nl);
+    sim.enableToggleStats(true);
+    ref.enableToggleStats(true);
 
-    // Identical ROM contents on all sides.
+    // Identical ROM contents on both sides.
     const MemoryDecl &rom = d.nl.memory(d.rom);
     for (size_t w = 0; w < rom.words; ++w) {
         const uint64_t v = rng() & ((1ULL << rom.width) - 1);
         const bool taint = (rng() & 1) != 0;
-        for (Simulator *s : sims)
-            s->setMemWord(d.rom, w, v, taint);
+        sim.setMemWord(d.rom, w, v, taint);
+        ref.setMemWord(d.rom, w, v, taint);
     }
 
     for (int c = 0; c < cycles; ++c) {
@@ -220,48 +231,44 @@ runDifferential(uint32_t seed, int cycles)
             if (rng() & 1)
                 continue;  // hold the previous drive
             Signal s = randSignal(rng);
-            for (Simulator *sim : sims)
-                sim->setInput(in, s);
+            sim.setInput(in, s);
+            ref.setInput(in, s);
         }
         if (rng() % 7 == 0) {
             const MemoryDecl &ram = d.nl.memory(d.ram);
             const size_t w = rng() % ram.words;
             const uint64_t v = rng() & ((1ULL << ram.width) - 1);
             const bool taint = (rng() & 1) != 0;
-            for (Simulator *sim : sims)
-                sim->setMemWord(d.ram, w, v, taint);
+            sim.setMemWord(d.ram, w, v, taint);
+            ref.setMemWord(d.ram, w, v, taint);
         }
         if (rng() % 11 == 0)
-            evt.markAllDirty();  // invalidation must stay sound
+            sim.markAllDirty();  // invalidation must stay sound
+
+        sim.evalComb();
+        ref.evalComb();
+        ASSERT_TRUE(statesEqual(d.nl, sim.state(), ref.state()))
+            << "after evalComb, cycle " << c << ", seed " << seed;
+        ASSERT_TRUE(togglesEqual(sim.toggleStats(), ref.toggleStats()))
+            << "after evalComb, cycle " << c << ", seed " << seed;
+
         if (rng() % 13 == 0)
-            interpEvt.markAllDirty();
-
-        for (Simulator *sim : sims)
-            sim->evalComb();
-        ASSERT_TRUE(statesEqual(d.nl, evt, full))
-            << "packed after evalComb, cycle " << c << ", seed "
-            << seed;
-        ASSERT_TRUE(statesEqual(d.nl, interpEvt, full))
-            << "interp-event after evalComb, cycle " << c << ", seed "
-            << seed;
-
+            sim.markAllDirty();  // an edge straight after invalidation
         if (rng() % 5 == 0) {
             // Post-settle override of an arbitrary net, the por-fork
             // pattern: visible to the edge, recomputed next settle.
             const NetId n = rng() % d.nl.numNets();
             Signal s = randSignal(rng);
-            for (Simulator *sim : sims)
-                sim->setNet(n, s);
+            sim.setNet(n, s);
+            ref.setNet(n, s);
         }
 
-        for (Simulator *sim : sims)
-            sim->clockEdge();
-        ASSERT_TRUE(statesEqual(d.nl, evt, full))
-            << "packed after clockEdge, cycle " << c << ", seed "
-            << seed;
-        ASSERT_TRUE(statesEqual(d.nl, interpEvt, full))
-            << "interp-event after clockEdge, cycle " << c
-            << ", seed " << seed;
+        sim.clockEdge();
+        ref.clockEdge();
+        ASSERT_TRUE(statesEqual(d.nl, sim.state(), ref.state()))
+            << "after clockEdge, cycle " << c << ", seed " << seed;
+        ASSERT_TRUE(togglesEqual(sim.toggleStats(), ref.toggleStats()))
+            << "after clockEdge, cycle " << c << ", seed " << seed;
     }
 }
 
@@ -271,40 +278,12 @@ TEST(SimEventFuzz, RandomNetlistsMatchFullSweep)
         runDifferential(seed, 150);
 }
 
-TEST(SimEventFuzz, BackendSwitchMidRunStaysConsistent)
-{
-    std::mt19937 rng(42);
-    RandomDesign d = buildRandomDesign(rng);
-    Simulator ab(d.nl);      // flips backend every few cycles
-    Simulator oracle(d.nl);
-    oracle.setBackend(SimBackend::Interp);
-    oracle.setFullSweepMode(true);
-
-    for (int c = 0; c < 120; ++c) {
-        if (c % 4 == 0) {
-            ab.setBackend((c / 4) % 2 ? SimBackend::Interp
-                                      : SimBackend::Packed);
-        }
-        for (NetId in : d.inputs) {
-            if (rng() & 1)
-                continue;
-            Signal s = randSignal(rng);
-            ab.setInput(in, s);
-            oracle.setInput(in, s);
-        }
-        ab.step();
-        oracle.step();
-        ASSERT_TRUE(statesEqual(d.nl, ab, oracle)) << "cycle " << c;
-    }
-}
-
 TEST(SimEventFuzz, SkippedEvalsAreCountedAndBounded)
 {
     using stats::Registry;
     std::mt19937 rng(7);
     RandomDesign d = buildRandomDesign(rng);
     Simulator sim(d.nl);
-    ASSERT_FALSE(sim.fullSweepMode());
 
     const double evals0 =
         Registry::instance().snapshot().value("sim.gate_evals");
@@ -324,61 +303,6 @@ TEST(SimEventFuzz, SkippedEvalsAreCountedAndBounded)
     const double ratio = snap.value("sim.dirty_ratio");
     EXPECT_GT(ratio, 0.0);
     EXPECT_LE(ratio, 1.0);
-}
-
-TEST(SimEventFuzz, FullSweepEnvSelectsSweep)
-{
-    Netlist nl;
-    NetId a = nl.addInput("a");
-    nl.addComb(GateKind::Not, a);
-    setenv("GLIFS_SIM_FULL_SWEEP", "1", 1);
-    Simulator swept(nl);
-    unsetenv("GLIFS_SIM_FULL_SWEEP");
-    Simulator event(nl);
-    EXPECT_TRUE(swept.fullSweepMode());
-    EXPECT_FALSE(event.fullSweepMode());
-}
-
-TEST(SimEventFuzz, InterpEnvSelectsInterpreter)
-{
-    Netlist nl;
-    NetId a = nl.addInput("a");
-    nl.addComb(GateKind::Not, a);
-    setenv("GLIFS_SIM_INTERP", "1", 1);
-    Simulator interp(nl);
-    unsetenv("GLIFS_SIM_INTERP");
-    Simulator packed(nl);
-    EXPECT_EQ(interp.backend(), SimBackend::Interp);
-    EXPECT_EQ(packed.backend(), SimBackend::Packed);
-    EXPECT_EQ(stats::Registry::instance().snapshot().value(
-                  "sim.backend"),
-              1.0);
-}
-
-// --- fanout index unit checks ---------------------------------------
-
-TEST(FanoutIndex, LevelsAndConsumers)
-{
-    Netlist nl;
-    NetId a = nl.addInput("a");
-    NetId b = nl.addInput("b");
-    NetId x = nl.addComb(GateKind::And, a, b);   // level 0
-    NetId y = nl.addComb(GateKind::Not, x);      // level 1
-    nl.addComb(GateKind::Or, x, y);              // level 2
-
-    std::vector<EvalStep> order = levelize(nl);
-    FanoutIndex fi = buildFanoutIndex(nl, order);
-    ASSERT_EQ(fi.numLevels, 3u);
-
-    const GateId gx = nl.driverOf(x);
-    const GateId gy = nl.driverOf(y);
-    EXPECT_EQ(fi.levelOf[fi.gateNode(gx)], 0u);
-    EXPECT_EQ(fi.levelOf[fi.gateNode(gy)], 1u);
-
-    // a feeds exactly the AND gate; x feeds NOT and OR.
-    ASSERT_EQ(fi.consumersOf(a).size(), 1u);
-    EXPECT_EQ(fi.consumersOf(a)[0], fi.gateNode(gx));
-    EXPECT_EQ(fi.consumersOf(x).size(), 2u);
 }
 
 // --- IoT430 SoC end-to-end ------------------------------------------
@@ -416,99 +340,127 @@ class SimEventSoc : public ::testing::Test
 
 Soc *SimEventSoc::soc = nullptr;
 
+/** SocRunner's concrete drive (reset, ports at 0) on the reference. */
+void
+driveConcrete(const Soc &soc, ReferenceSim &ref, bool reset)
+{
+    const SocProbes &prb = soc.probes();
+    ref.setInput(prb.extReset, sigBool(reset));
+    for (unsigned p = 0; p < 4; ++p) {
+        for (unsigned b = 0; b < 16; ++b)
+            ref.setInput(prb.portIn[p][b], sigZero());
+    }
+}
+
 TEST_F(SimEventSoc, ConcreteRunMatchesFullSweep)
 {
-    setenv("GLIFS_SIM_FULL_SWEEP", "1", 1);
-    SocRunner swept(*soc);
-    unsetenv("GLIFS_SIM_FULL_SWEEP");
-    SocRunner event(*soc);
-    ASSERT_TRUE(swept.simulator().fullSweepMode());
-    ASSERT_FALSE(event.simulator().fullSweepMode());
+    const Netlist &nl = soc->netlist();
+    SocRunner runner(*soc);
+    runner.simulator().enableToggleStats(true);
+    runner.load(loopImage());
+    runner.reset();
+    const uint64_t cycles = runner.runToHalt(100000);
 
-    for (SocRunner *r : {&swept, &event}) {
-        r->load(loopImage());
-        r->reset();
-        r->runToHalt(100000);
-    }
-    EXPECT_EQ(swept.simulator().cycle(), event.simulator().cycle());
+    // The reference replays SocRunner's load / reset / run to HALT.
+    ReferenceSim ref(nl);
+    ref.enableToggleStats(true);
+    soc->loadProgram(ref.state(), loopImage());
+    driveConcrete(*soc, ref, true);
+    ref.step();
+    const MemId ram = soc->probes().dataMem;
+    for (size_t w = 0; w < nl.memory(ram).words; ++w)
+        ref.setMemWord(ram, w, 0);
+    driveConcrete(*soc, ref, false);
+    for (uint64_t c = 0; c < cycles; ++c)
+        ref.step();
+
+    EXPECT_EQ(runner.simulator().cycle(), ref.cycle());
     for (unsigned reg = 0; reg < 16; ++reg)
-        EXPECT_EQ(swept.reg(reg), event.reg(reg)) << "r" << reg;
-    EXPECT_EQ(swept.ram(0x0900), event.ram(0x0900));
-    ASSERT_TRUE(statesEqual(soc->netlist(), event.simulator(),
-                            swept.simulator()));
+        EXPECT_EQ(runner.reg(reg), soc->regValue(ref.state(), reg))
+            << "r" << reg;
+    EXPECT_EQ(runner.ram(0x0900), soc->ramValue(ref.state(), 0x0900));
+    ASSERT_TRUE(statesEqual(nl, runner.simulator().state(), ref.state()));
+    // The energy model (xform/overhead.cc) reads these counters.
+    EXPECT_TRUE(togglesEqual(runner.simulator().toggleStats(),
+                             ref.toggleStats()));
 }
 
 TEST_F(SimEventSoc, SymbolicLockstepSymStatesMatch)
 {
     const Netlist &nl = soc->netlist();
-    Simulator event(nl);
-    Simulator swept(nl);
-    swept.setFullSweepMode(true);
+    Simulator sim(nl);
+    ReferenceSim ref(nl);
+    soc->loadProgram(sim.state(), loopImage());
+    sim.markAllDirty();
+    soc->loadProgram(ref.state(), loopImage());
 
-    for (Simulator *sim : {&event, &swept}) {
-        soc->loadProgram(sim->state(), loopImage());
-        sim->markAllDirty();
-        const SocProbes &prb = soc->probes();
-        sim->setInput(prb.extReset, sigOne());
+    const SocProbes &prb = soc->probes();
+    auto resetSymbolic = [&](auto &s) {
+        s.setInput(prb.extReset, sigOne());
         for (unsigned p = 0; p < 4; ++p) {
-            for (unsigned b = 0; b < 16; ++b) {
-                sim->setInput(prb.portIn[p][b],
-                              Signal{Tern::X, true});
-            }
+            for (unsigned b = 0; b < 16; ++b)
+                s.setInput(prb.portIn[p][b], Signal{Tern::X, true});
         }
-        sim->step();
-        sim->setInput(prb.extReset, sigZero());
-    }
+        s.step();
+        s.setInput(prb.extReset, sigZero());
+    };
+    resetSymbolic(sim);
+    resetSymbolic(ref);
 
     SymLayout layout(nl);
-    SymState se(layout);
-    SymState sf(layout);
+    SymState ss(layout);
+    SymState sr(layout);
     for (int c = 0; c < 300; ++c) {
-        event.step();
-        swept.step();
+        sim.step();
+        ref.step();
         if (c % 50 != 0)
             continue;
-        se.capture(layout, event.state());
-        sf.capture(layout, swept.state());
+        ss.capture(layout, sim.state());
+        sr.capture(layout, ref.state());
         for (size_t i = 0; i < layout.slots(); ++i) {
-            ASSERT_EQ(se.slot(i), sf.slot(i))
+            ASSERT_EQ(ss.slot(i), sr.slot(i))
                 << "slot " << i << " at cycle " << c;
         }
     }
-    ASSERT_TRUE(statesEqual(nl, event, swept));
+    ASSERT_TRUE(statesEqual(nl, sim.state(), ref.state()));
 }
 
-TEST_F(SimEventSoc, EngineWorkloadRunsMatchFullSweep)
+TEST_F(SimEventSoc, PathSimRestoreMatchesReference)
 {
-    // Whole symbolic analyses under A/B scheduling: one secure
-    // workload, one with Table-2 violations. Identical verdicts and
-    // exploration shape on both sides.
-    for (const char *name : {"mult", "tHold"}) {
-        const Workload &w = workloadByName(name);
+    // A restore rewrites every flop and memory cell behind the dirty
+    // tracking, 40 cycles away from what the planes last saw; the
+    // settles after PathSim::restore must still match a full sweep.
+    const Workload &w = workloadByName("tHold");
+    const Policy policy = w.policy();
+    const ProgramImage image = w.image();
+    PathSim ps(*soc, policy, EngineConfig{}, image);
+    ps.loadProgram();
+    ps.setInputs(true);
+    ps.sim.step();
+    SymState start(ps.layout);
+    start.capture(ps.layout, ps.sim.state());
+    for (int c = 0; c < 40; ++c) {
+        ps.setInputs(false);
+        ps.sim.step();
+    }
 
-        setenv("GLIFS_SIM_FULL_SWEEP", "1", 1);
-        IftEngine sweptEngine(*soc, w.policy(), EngineConfig{});
-        EngineResult rs = sweptEngine.run(w.image());
-        unsetenv("GLIFS_SIM_FULL_SWEEP");
-
-        IftEngine eventEngine(*soc, w.policy(), EngineConfig{});
-        EngineResult re = eventEngine.run(w.image());
-
-        EXPECT_EQ(re.verdict(), rs.verdict()) << name;
-        EXPECT_EQ(re.completed, rs.completed) << name;
-        EXPECT_EQ(re.cyclesSimulated, rs.cyclesSimulated) << name;
-        EXPECT_EQ(re.pathsExplored, rs.pathsExplored) << name;
-        EXPECT_EQ(re.branchPoints, rs.branchPoints) << name;
-        EXPECT_EQ(re.merges, rs.merges) << name;
-        EXPECT_EQ(re.subsumptions, rs.subsumptions) << name;
-        EXPECT_EQ(re.violations.size(), rs.violations.size()) << name;
-        EXPECT_EQ(re.taintedGates, rs.taintedGates) << name;
-        for (size_t i = 0;
-             i < re.violations.size() && i < rs.violations.size();
-             ++i) {
-            EXPECT_EQ(re.violations[i].kind, rs.violations[i].kind)
-                << name << " violation " << i;
-        }
+    ps.restore(start);
+    // Same state on the reference: restored flops and memories, the
+    // program memory and the held input drive.
+    ReferenceSim ref(soc->netlist());
+    ref.state() = ps.sim.state();
+    for (int c = 0; c < 40; ++c) {
+        ps.setInputs(false);
+        ps.sim.evalComb();
+        ref.evalComb();
+        ASSERT_TRUE(statesEqual(soc->netlist(), ps.sim.state(),
+                                ref.state()))
+            << "after evalComb, cycle " << c;
+        ps.sim.clockEdge();
+        ref.clockEdge();
+        ASSERT_TRUE(statesEqual(soc->netlist(), ps.sim.state(),
+                                ref.state()))
+            << "after clockEdge, cycle " << c;
     }
 }
 

@@ -11,8 +11,8 @@ Raw rates are machine-dependent, so for cross-machine use (CI runners
 vs the machine that committed the baseline) pass ``--normalize-by
 <row>``: every fresh rate is scaled by ``baseline[row] / fresh[row]``
 before comparison, cancelling the overall speed difference while
-still catching *relative* regressions -- e.g. the packed backend
-losing its edge over the interpreter.
+still catching *relative* regressions -- e.g. the compiled simulator
+losing its edge over the reference interpreter.
 
 ``--scaling-floor FRAC`` switches to a different check, for the
 ``bench_explore_scaling`` report: every ``.../jobs:N`` row's
