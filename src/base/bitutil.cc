@@ -50,23 +50,6 @@ BitPlane::resize(size_t nbits)
     data.assign((nbits + 63) / 64, 0);
 }
 
-bool
-BitPlane::get(size_t i) const
-{
-    GLIFS_ASSERT(i < numBits, "BitPlane index ", i, " >= ", numBits);
-    return (data[i / 64] >> (i % 64)) & 1ULL;
-}
-
-void
-BitPlane::set(size_t i, bool b)
-{
-    GLIFS_ASSERT(i < numBits, "BitPlane index ", i, " >= ", numBits);
-    if (b)
-        data[i / 64] |= (1ULL << (i % 64));
-    else
-        data[i / 64] &= ~(1ULL << (i % 64));
-}
-
 void
 BitPlane::clearAll()
 {

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/logging.hh"
+
 namespace glifs
 {
 
@@ -56,8 +58,39 @@ class BitPlane
     void resize(size_t nbits);
     size_t size() const { return numBits; }
 
-    bool get(size_t i) const;
-    void set(size_t i, bool b);
+    bool get(size_t i) const { return getBits(i, 1); }
+    void set(size_t i, bool b) { setBits(i, 1, b); }
+
+    /** Bits [pos, pos + n) as the low n bits of a word, 1 <= n <= 64. */
+    uint64_t
+    getBits(size_t pos, unsigned n) const
+    {
+        GLIFS_ASSERT(n >= 1 && n <= 64 && pos + n <= numBits,
+                     "BitPlane range ", pos, "+", n, " > ", numBits);
+        const unsigned off = pos % 64;
+        uint64_t bits = data[pos / 64] >> off;
+        if (off + n > 64)
+            bits |= data[pos / 64 + 1] << (64 - off);
+        return bits & lowMask(n);
+    }
+
+    /** Overwrite bits [pos, pos + n) with the low n bits of @p bits. */
+    void
+    setBits(size_t pos, unsigned n, uint64_t bits)
+    {
+        GLIFS_ASSERT(n >= 1 && n <= 64 && pos + n <= numBits,
+                     "BitPlane range ", pos, "+", n, " > ", numBits);
+        const uint64_t mask = lowMask(n);
+        const unsigned off = pos % 64;
+        bits &= mask;
+        uint64_t &lo = data[pos / 64];
+        lo = (lo & ~(mask << off)) | (bits << off);
+        if (off + n > 64) {
+            uint64_t &hi = data[pos / 64 + 1];
+            hi = (hi & ~(mask >> (64 - off))) | (bits >> (64 - off));
+        }
+    }
+
     void clearAll();
     void setAll();
 

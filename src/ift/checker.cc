@@ -358,22 +358,17 @@ FlowChecker::checkRead(const Simulator &sim, uint16_t instr_addr,
     }
 
     // Tainted cells anywhere in the reachable read set.
-    const Netlist &nl = soc.netlist();
-    const auto &cells = sim.state().memCells(prb.dataMem);
-    const MemoryDecl &ram = nl.memory(prb.dataMem);
+    const BitPlane &taint = sim.state().memCells(prb.dataMem).taint();
+    const unsigned width = soc.netlist().memory(prb.dataMem).width;
     forEachInRange(addr, iot430::kRamBase, iot430::kRamEnd,
                    [&](uint16_t a) {
-                       size_t w = a - iot430::kRamBase;
-                       for (unsigned b = 0; b < ram.width; ++b) {
-                           if (cells[w * ram.width + b].taint) {
-                               log.record(
-                                   ViolationKind::LoadTaintedData,
-                                   instr_addr, cycle,
-                                   detail::concat(
-                                       "untainted code loads tainted "
-                                       "cell ", hex16(a)));
-                               return;
-                           }
+                       const size_t w = a - iot430::kRamBase;
+                       if (taint.getBits(w * width, width) != 0) {
+                           log.record(ViolationKind::LoadTaintedData,
+                                      instr_addr, cycle,
+                                      detail::concat(
+                                          "untainted code loads tainted "
+                                          "cell ", hex16(a)));
                        }
                    });
 
@@ -432,9 +427,8 @@ FlowChecker::checkMemoryInvariant(const Simulator &sim,
 {
     ++checkerStats().memoryScans;
     const SocProbes &prb = soc.probes();
-    const Netlist &nl = soc.netlist();
-    const MemoryDecl &ram = nl.memory(prb.dataMem);
-    const auto &cells = sim.state().memCells(prb.dataMem);
+    const BitPlane &taint = sim.state().memCells(prb.dataMem).taint();
+    const unsigned width = soc.netlist().memory(prb.dataMem).width;
 
     for (const MemPartition &m : policy.mem) {
         if (m.tainted)
@@ -442,17 +436,13 @@ FlowChecker::checkMemoryInvariant(const Simulator &sim,
         for (uint32_t a = m.lo; a <= m.hi; ++a) {
             if (classifyAddr(static_cast<uint16_t>(a)) != AddrRegion::Ram)
                 continue;
-            size_t w = ramIndex(static_cast<uint16_t>(a));
-            for (unsigned b = 0; b < ram.width; ++b) {
-                if (cells[w * ram.width + b].taint) {
-                    log.record(
-                        ViolationKind::StoreUntaintedPartition,
-                        instr_addr, cycle,
-                        detail::concat("untainted partition '", m.name,
-                                       "' cell ", hex16(a),
-                                       " is tainted"));
-                    break;
-                }
+            const size_t w = ramIndex(static_cast<uint16_t>(a));
+            if (taint.getBits(w * width, width) != 0) {
+                log.record(ViolationKind::StoreUntaintedPartition,
+                           instr_addr, cycle,
+                           detail::concat("untainted partition '", m.name,
+                                          "' cell ", hex16(a),
+                                          " is tainted"));
             }
         }
     }

@@ -230,10 +230,13 @@ PathSim::starSaturate(BitPlane *everTainted)
     for (GateId g : nl.dffs())
         sim.state().setNet(nl.gate(g).out, Signal{Tern::X, true});
     for (MemId m = 0; m < nl.numMemories(); ++m) {
-        if (!nl.memory(m).writable)
+        const MemoryDecl &decl = nl.memory(m);
+        if (!decl.writable)
             continue;
-        for (Signal &cell : sim.state().memCells(m))
-            cell = Signal{Tern::X, true};
+        const TernWord x_tainted{0, 0, lowMask(decl.width)};
+        for (size_t w = 0; w < decl.words; ++w)
+            sim.state().memCells(m).setWord(w * decl.width, decl.width,
+                                            x_tainted);
     }
     const SocProbes &prb = soc.probes();
     sim.setInput(prb.extReset, sigBool(false));

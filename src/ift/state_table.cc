@@ -34,7 +34,7 @@ tableStats()
 } // namespace
 
 StateTable::Visit
-StateTable::visit(uint32_t key, SymState &state, bool taint_diffs)
+StateTable::visit(uint32_t key, SymState &state)
 {
     TableStats &st = tableStats();
     ++st.lookups;
@@ -50,7 +50,7 @@ StateTable::visit(uint32_t key, SymState &state, bool taint_diffs)
         ++st.subsumed;
         return Visit::Subsumed;
     }
-    it->second.mergeWith(state, taint_diffs);
+    it->second.mergeWith(state);
     state = it->second;
     ++mergeCount;
     ++st.merges;

@@ -35,8 +35,7 @@ class StateTable
      * Merged, @p state is updated in place to the merged conservative
      * state (the caller continues from it, per Algorithm 1).
      */
-    Visit visit(uint32_t key, SymState &state,
-                bool taint_diffs = false);
+    Visit visit(uint32_t key, SymState &state);
 
     size_t size() const { return table.size(); }
     size_t merges() const { return mergeCount; }

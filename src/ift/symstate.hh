@@ -3,17 +3,19 @@
  * Packed symbolic-state snapshots for the input-independent taint
  * tracking engine (Algorithm 1).
  *
- * A SymState captures the ternary value and taint of every flip-flop
- * output plus every writable memory cell as three bit planes (known /
- * value / taint), giving O(words) substate tests and conservative
- * merges — the operations the paper's state table performs at every
+ * A SymState holds the ternary value and taint of every flip-flop
+ * output plus every writable memory cell in TernPlanes, the format the
+ * simulator's memories already use (logic/tern_planes.hh). A capture
+ * or restore copies each memory as one cell range and only the
+ * flip-flops slot by slot; substate tests and conservative merges are
+ * O(words) -- the operations the paper's state table performs at every
  * PC-changing instruction.
  */
 
 #ifndef GLIFS_IFT_SYMSTATE_HH
 #define GLIFS_IFT_SYMSTATE_HH
 
-#include "base/bitutil.hh"
+#include "logic/tern_planes.hh"
 #include "netlist/netlist.hh"
 #include "sim/signal_state.hh"
 
@@ -53,7 +55,7 @@ class SymState
 {
   public:
     SymState() = default;
-    explicit SymState(const SymLayout &layout);
+    explicit SymState(const SymLayout &layout) : cells(layout.slots()) {}
 
     /** Capture flops and memories from a simulation state. */
     void capture(const SymLayout &layout, const SignalState &sigs);
@@ -67,48 +69,53 @@ class SymState
      * contained in the taint of @p cons (i.e. cons is at least as
      * conservative).
      */
-    bool subsumedBy(const SymState &cons) const;
+    bool
+    subsumedBy(const SymState &cons) const
+    {
+        return cells.subsumedBy(cons.cells);
+    }
 
     /**
      * Conservative merge: *this becomes the join of *this and other
      * (differing or unknown values -> X; taints union).
-     *
-     * With @p taint_diffs set, slots whose values differ between the
-     * two states (or whose known-ness differs) additionally become
-     * tainted: when the joining paths forked on *tainted* control
-     * flow, which path ran is attacker-visible information, so every
-     * path-dependent difference carries taint. This restores the
-     * soundness that per-path concrete instruction fetches would
-     * otherwise lose (see MemoryDecl::addrTaintsRead).
      */
-    void mergeWith(const SymState &other, bool taint_diffs = false);
+    void mergeWith(const SymState &other) { cells.joinWith(other.cells); }
 
     bool operator==(const SymState &o) const = default;
 
     /** Per-slot accessors (slot indices from the layout). */
-    Signal slot(size_t i) const;
-    void setSlot(size_t i, const Signal &s);
+    Signal slot(size_t i) const { return cells.get(i); }
+    void setSlot(size_t i, const Signal &s) { cells.set(i, s); }
 
-    size_t numSlots() const { return known.size(); }
+    size_t numSlots() const { return cells.size(); }
 
     /** Number of tainted slots (diagnostics). */
-    size_t taintCount() const { return taint.count(); }
+    size_t taintCount() const { return cells.taint().count(); }
 
     /** Number of unknown slots (diagnostics). */
-    size_t unknownCount() const { return known.size() - known.count(); }
+    size_t
+    unknownCount() const
+    {
+        return cells.size() - cells.known().count();
+    }
 
     /** Raw plane access for checkpoint serialization. */
-    const BitPlane &knownPlane() const { return known; }
-    const BitPlane &valuePlane() const { return value; }
-    const BitPlane &taintPlane() const { return taint; }
+    const BitPlane &knownPlane() const { return cells.known(); }
+    const BitPlane &valuePlane() const { return cells.value(); }
+    const BitPlane &taintPlane() const { return cells.taint(); }
 
-    /** Rebuild from raw planes (checkpoint restore); sizes must agree. */
-    void setPlanes(BitPlane k, BitPlane v, BitPlane t);
+    /**
+     * Rebuild from raw planes (checkpoint restore); sizes must agree,
+     * and value bits under X are cleared.
+     */
+    void
+    setPlanes(BitPlane k, BitPlane v, BitPlane t)
+    {
+        cells = TernPlanes(std::move(k), std::move(v), std::move(t));
+    }
 
   private:
-    BitPlane known;
-    BitPlane value;
-    BitPlane taint;
+    TernPlanes cells;
 };
 
 } // namespace glifs

@@ -13,90 +13,40 @@ decodeMemAddr(std::span<const Signal> addr, size_t words,
     for (size_t i = 0; i < addr.size(); ++i) {
         const Signal &s = addr[i];
         out.tainted = out.tainted || s.taint;
-        if (!s.known()) {
-            out.xBits.push_back(static_cast<unsigned>(i));
-        } else if (s.asBool()) {
+        if (!s.known())
+            out.xMask |= 1ULL << i;
+        else if (s.asBool())
             out.base |= 1ULL << i;
-        }
     }
-    if (out.xBits.size() > max_unknown_bits ||
-        (1ULL << out.xBits.size()) >= 2 * words) {
-        out.fullRange = true;
-        out.xBits.clear();
-        out.base = 0;
-    }
+    const unsigned unknown = popcount64(out.xMask);
+    if (unknown > max_unknown_bits || (1ULL << unknown) >= 2 * words)
+        out = MemAddr{0, 0, out.tainted, true};
+    return out;
+}
+
+TernWord
+memoryRead(const TernPlanes &cells, unsigned width, size_t words,
+           const MemAddr &addr)
+{
+    GLIFS_ASSERT(cells.size() == words * width, "memoryRead cell count");
+
+    // X and untainted when no reachable address is in range.
+    TernWord out;
+    bool any = false;
+    forEachAddr(addr, words, [&](size_t w) {
+        const TernWord cell = cells.word(w * width, width);
+        out = any ? join(out, cell) : cell;
+        any = true;
+    });
+    if (addr.tainted)
+        out.taint = lowMask(width);
     return out;
 }
 
 void
-forEachAddr(const MemAddr &addr, size_t words,
-            const std::function<void(size_t)> &fn)
+memoryWrite(TernPlanes &cells, unsigned width, size_t words,
+            const MemAddr &addr, const Signal &we, TernWord data)
 {
-    if (addr.fullRange) {
-        for (size_t w = 0; w < words; ++w)
-            fn(w);
-        return;
-    }
-    const size_t combos = 1ULL << addr.xBits.size();
-    for (size_t c = 0; c < combos; ++c) {
-        uint64_t a = addr.base;
-        for (size_t k = 0; k < addr.xBits.size(); ++k) {
-            if ((c >> k) & 1ULL)
-                a |= 1ULL << addr.xBits[k];
-        }
-        if (a < words)
-            fn(static_cast<size_t>(a));
-    }
-}
-
-void
-memoryRead(const std::vector<Signal> &cells, unsigned width, size_t words,
-           const MemAddr &addr, std::span<Signal> data_out)
-{
-    GLIFS_ASSERT(data_out.size() == width, "memoryRead width mismatch");
-    GLIFS_ASSERT(cells.size() == words * width, "memoryRead cell count");
-
-    if (addr.concrete()) {
-        if (addr.base < words) {
-            const Signal *cell = &cells[addr.base * width];
-            for (unsigned b = 0; b < width; ++b) {
-                data_out[b] = cell[b];
-                data_out[b].taint = data_out[b].taint || addr.tainted;
-            }
-        } else {
-            for (unsigned b = 0; b < width; ++b)
-                data_out[b] = Signal{Tern::X, addr.tainted};
-        }
-        return;
-    }
-
-    bool any = false;
-    for (unsigned b = 0; b < width; ++b)
-        data_out[b] = Signal{Tern::X, false};
-    forEachAddr(addr, words, [&](size_t w) {
-        const Signal *cell = &cells[w * width];
-        if (!any) {
-            for (unsigned b = 0; b < width; ++b)
-                data_out[b] = cell[b];
-            any = true;
-        } else {
-            for (unsigned b = 0; b < width; ++b) {
-                data_out[b].value =
-                    ternMerge(data_out[b].value, cell[b].value);
-                data_out[b].taint = data_out[b].taint || cell[b].taint;
-            }
-        }
-    });
-    for (unsigned b = 0; b < width; ++b)
-        data_out[b].taint = data_out[b].taint || addr.tainted;
-}
-
-void
-memoryWrite(std::vector<Signal> &cells, unsigned width, size_t words,
-            const MemAddr &addr, const Signal &we,
-            std::span<const Signal> data)
-{
-    GLIFS_ASSERT(data.size() == width, "memoryWrite width mismatch");
     GLIFS_ASSERT(cells.size() == words * width, "memoryWrite cell count");
 
     // Definitely no write: nothing to do. A tainted-but-0 enable is
@@ -105,27 +55,17 @@ memoryWrite(std::vector<Signal> &cells, unsigned width, size_t words,
     if (we.known() && !we.asBool())
         return;
 
-    const bool strong = we.known() && we.asBool() && addr.concrete();
-    if (strong) {
-        if (addr.base >= words)
-            return;
-        Signal *cell = &cells[addr.base * width];
-        for (unsigned b = 0; b < width; ++b) {
-            cell[b] = data[b];
-            cell[b].taint =
-                cell[b].taint || addr.tainted || we.taint;
-        }
-        return;
-    }
+    if (we.taint || addr.tainted)
+        data.taint = lowMask(width);
 
-    // Possible (unknown enable) or ambiguous-address write: weak update.
-    const bool extra_taint = we.taint || addr.tainted;
+    // A known enable and a concrete address overwrite the word; an
+    // unknown enable or an ambiguous address is a weak update that
+    // joins the data into every reachable word.
+    const bool strong = we.known() && addr.concrete();
     forEachAddr(addr, words, [&](size_t w) {
-        Signal *cell = &cells[w * width];
-        for (unsigned b = 0; b < width; ++b) {
-            cell[b].value = ternMerge(cell[b].value, data[b].value);
-            cell[b].taint = cell[b].taint || data[b].taint || extra_taint;
-        }
+        cells.setWord(w * width, width,
+                      strong ? data
+                             : join(cells.word(w * width, width), data));
     });
 }
 

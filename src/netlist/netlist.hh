@@ -104,10 +104,10 @@ struct MemoryDecl
     /**
      * Whether a tainted read address taints the read data. True for
      * data memories (Figure-9 semantics). The program ROM sets this
-     * false: a tainted PC's possible instruction streams are explored
-     * explicitly by the analysis engine (which makes the PC concrete
-     * per path and re-taints path-dependent differences when paths
-     * merge), so fetches do not blanket-taint the IR.
+     * false: the analysis engine explores a tainted PC's possible
+     * instruction streams explicitly, one concrete PC per path, and
+     * the tainted PC is itself a checked violation (C1), so fetches
+     * do not blanket-taint the IR.
      */
     bool addrTaintsRead = true;
 };

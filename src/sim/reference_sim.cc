@@ -37,11 +37,10 @@ ReferenceSim::evalComb()
             MemAddr ma = decodePort(sigs, decl.readAddr, decl);
             if (!decl.addrTaintsRead)
                 ma.tainted = false;
-            std::vector<Signal> data(decl.width);
-            memoryRead(sigs.memCells(step.index), decl.width, decl.words,
-                       ma, data);
+            const TernWord data = memoryRead(sigs.memCells(step.index),
+                                             decl.width, decl.words, ma);
             for (unsigned b = 0; b < decl.width; ++b)
-                sigs.setNet(decl.readData[b], data[b]);
+                sigs.setNet(decl.readData[b], data.at(b));
             continue;
         }
         const Gate &g = nl.gate(step.index);
@@ -72,7 +71,7 @@ ReferenceSim::clockEdge()
         MemId mem;
         MemAddr addr;
         Signal we;
-        std::vector<Signal> data;
+        TernWord data;
     };
     std::vector<Write> writes;
     for (MemId m = 0; m < nl.numMemories(); ++m) {
@@ -83,8 +82,8 @@ ReferenceSim::clockEdge()
         if (we.known() && !we.asBool() && !we.taint)
             continue;
         Write w{m, decodePort(sigs, decl.writeAddr, decl), we, {}};
-        for (NetId n : decl.writeData)
-            w.data.push_back(sigs.net(n));
+        for (unsigned b = 0; b < decl.width; ++b)
+            w.data.set(b, sigs.net(decl.writeData[b]));
         writes.push_back(std::move(w));
     }
 

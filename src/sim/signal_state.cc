@@ -8,12 +8,8 @@ namespace glifs
 SignalState::SignalState(const Netlist &nl)
 {
     netSignals.assign(nl.numNets(), Signal{Tern::X, false});
-    memories.resize(nl.numMemories());
-    for (MemId m = 0; m < nl.numMemories(); ++m) {
-        const MemoryDecl &decl = nl.memory(m);
-        memories[m].assign(decl.words * decl.width,
-                           Signal{Tern::X, false});
-    }
+    for (MemId m = 0; m < nl.numMemories(); ++m)
+        memories.emplace_back(nl.memory(m).words * nl.memory(m).width);
     // Constant nets hold their value from the start.
     for (const Gate &g : nl.gates()) {
         if (g.type == GateType::Const)
@@ -26,13 +22,7 @@ SignalState::memWordValue(const Netlist &nl, MemId id, size_t word) const
 {
     const MemoryDecl &decl = nl.memory(id);
     GLIFS_ASSERT(word < decl.words, "memWordValue out of range");
-    uint64_t v = 0;
-    const Signal *cell = &memories[id][word * decl.width];
-    for (unsigned b = 0; b < decl.width; ++b) {
-        if (cell[b].known() && cell[b].asBool())
-            v |= 1ULL << b;
-    }
-    return v;
+    return memories[id].word(word * decl.width, decl.width).value;
 }
 
 void
@@ -41,9 +31,9 @@ SignalState::setMemWord(const Netlist &nl, MemId id, size_t word,
 {
     const MemoryDecl &decl = nl.memory(id);
     GLIFS_ASSERT(word < decl.words, "setMemWord out of range");
-    Signal *cell = &memories[id][word * decl.width];
-    for (unsigned b = 0; b < decl.width; ++b)
-        cell[b] = Signal{ternBool((value >> b) & 1ULL), taint};
+    const uint64_t all = lowMask(decl.width);
+    memories[id].setWord(word * decl.width, decl.width,
+                         {all, value & all, taint ? all : 0});
 }
 
 } // namespace glifs

@@ -1,7 +1,9 @@
 /**
  * @file
  * The mutable value/taint state of a netlist simulation: one Signal per
- * net plus the contents of every memory block.
+ * net, and the cells of every memory block in TernPlanes -- the
+ * known/value/taint planes SymState uses, with cell = word * width +
+ * bit -- so memory ports and state snapshots move whole words.
  */
 
 #ifndef GLIFS_SIM_SIGNAL_STATE_HH
@@ -9,6 +11,7 @@
 
 #include <vector>
 
+#include "logic/tern_planes.hh"
 #include "netlist/netlist.hh"
 
 namespace glifs
@@ -24,11 +27,8 @@ class SignalState
     Signal net(NetId id) const { return netSignals[id]; }
     void setNet(NetId id, const Signal &s) { netSignals[id] = s; }
 
-    std::vector<Signal> &memCells(MemId id) { return memories[id]; }
-    const std::vector<Signal> &memCells(MemId id) const
-    {
-        return memories[id];
-    }
+    TernPlanes &memCells(MemId id) { return memories[id]; }
+    const TernPlanes &memCells(MemId id) const { return memories[id]; }
 
     /** Read one memory word's concrete value; X bits read as 0. */
     uint64_t memWordValue(const Netlist &nl, MemId id, size_t word) const;
@@ -45,7 +45,7 @@ class SignalState
 
   private:
     std::vector<Signal> netSignals;
-    std::vector<std::vector<Signal>> memories;
+    std::vector<TernPlanes> memories;
 };
 
 } // namespace glifs

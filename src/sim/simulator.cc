@@ -68,8 +68,6 @@ Simulator::Simulator(const Netlist &netlist) : nl(netlist), sigs(netlist)
     scheduleSize = order.size();
     packed = std::make_unique<PackedEval>(nl, order);
     writeScratch.resize(nl.numMemories());
-    for (MemId m = 0; m < nl.numMemories(); ++m)
-        writeScratch[m].data.resize(nl.memory(m).width);
     activeWrites.reserve(nl.numMemories());
 }
 
@@ -119,7 +117,7 @@ Simulator::stageMemWrites()
         w.addr = decodeMemAddr(addrScratch, decl.words,
                                decl.maxUnknownAddrBits);
         for (unsigned b = 0; b < decl.width; ++b)
-            w.data[b] = sigs.net(decl.writeData[b]);
+            w.data.set(b, sigs.net(decl.writeData[b]));
         activeWrites.push_back(m);
     }
 }
@@ -165,15 +163,15 @@ Simulator::evalMemRead(MemId m, bool track)
         decodeMemAddr(addrScratch, decl.words, decl.maxUnknownAddrBits);
     if (!decl.addrTaintsRead)
         ma.tainted = false;
-    dataScratch.resize(decl.width);
-    memoryRead(sigs.memCells(m), decl.width, decl.words, ma,
-               dataScratch);
+    const TernWord data =
+        memoryRead(sigs.memCells(m), decl.width, decl.words, ma);
     for (unsigned b = 0; b < decl.width; ++b) {
         const NetId rd = decl.readData[b];
-        if (sigs.net(rd) == dataScratch[b])
+        const Signal s = data.at(b);
+        if (sigs.net(rd) == s)
             continue;
-        sigs.setNet(rd, dataScratch[b]);
-        pe.setNetPlanes(rd, dataScratch[b]);
+        sigs.setNet(rd, s);
+        pe.setNetPlanes(rd, s);
         if (track)
             pe.markConsumersDirty(rd);
     }

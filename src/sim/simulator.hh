@@ -134,14 +134,13 @@ class Simulator
 
     // --- reusable scratch buffers (no per-call heap allocation) ------
     std::vector<Signal> addrScratch;
-    std::vector<Signal> dataScratch;
 
     /** One memory write port's pending edge update. */
     struct PendingWrite
     {
         MemAddr addr;
         Signal we;
-        std::vector<Signal> data;
+        TernWord data;
     };
     std::vector<PendingWrite> writeScratch;  ///< per-memory slot
     std::vector<MemId> activeWrites;         ///< memories written this edge

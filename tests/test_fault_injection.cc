@@ -112,13 +112,14 @@ TEST(FaultInjection, OperandMiswiringIsDetectedByCosim)
  */
 TEST(FaultInjection, StrongUpdateMustClearTaintForFixesToVerify)
 {
-    std::vector<Signal> cells(8, Signal{Tern::Zero, true});
+    TernPlanes cells(8);
+    for (size_t i = 0; i < cells.size(); ++i)
+        cells.set(i, Signal{Tern::Zero, true});
     std::vector<Signal> addr = {sigZero(), sigZero(), sigZero()};
     MemAddr ma = decodeMemAddr(addr, 8, 12);
-    std::vector<Signal> data(1, sigBool(1, false));
-    // width=1, 8 words.
-    memoryWrite(cells, 1, 8, ma, sigOne(), data);
-    EXPECT_FALSE(cells[0].taint)
+    // width=1, 8 words; store an untainted 1.
+    memoryWrite(cells, 1, 8, ma, sigOne(), TernWord{1, 1, 0});
+    EXPECT_FALSE(cells.get(0).taint)
         << "strong updates must launder taint, or masking could "
            "never re-verify";
 }

@@ -1,11 +1,15 @@
 /**
  * @file
  * Unit tests for the netlist IR, builder, levelization, validation,
- * memory taint semantics, stats and DOT export.
+ * memory taint semantics (with a differential fuzz of the plane memory
+ * model against a per-cell reference), stats and DOT export.
  */
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "base/bitutil.hh"
 #include "base/logging.hh"
 #include "netlist/builder.hh"
 #include "netlist/dot_export.hh"
@@ -183,12 +187,13 @@ class MemFixture : public ::testing::Test
   protected:
     static constexpr unsigned width = 8;
     static constexpr size_t words = 16;
-    std::vector<Signal> cells;
+    TernPlanes cells{words * width};
 
     void
     SetUp() override
     {
-        cells.assign(words * width, Signal{Tern::Zero, false});
+        for (size_t i = 0; i < cells.size(); ++i)
+            cells.set(i, sigZero());
     }
 
     std::vector<Signal>
@@ -204,23 +209,16 @@ class MemFixture : public ::testing::Test
         return a;
     }
 
-    std::vector<Signal>
+    TernWord
     dataSig(uint8_t value, bool taint = false)
     {
-        std::vector<Signal> d(width);
-        for (unsigned i = 0; i < width; ++i)
-            d[i] = Signal{ternBool((value >> i) & 1), taint};
-        return d;
+        return {lowMask(width), value, taint ? lowMask(width) : 0};
     }
 
     bool
     cellTainted(size_t w)
     {
-        for (unsigned b = 0; b < width; ++b) {
-            if (cells[w * width + b].taint)
-                return true;
-        }
-        return false;
+        return cells.taint().getBits(w * width, width) != 0;
     }
 };
 
@@ -230,15 +228,10 @@ TEST_F(MemFixture, ConcreteWriteAndRead)
     MemAddr ma = decodeMemAddr(addr, words, 12);
     EXPECT_TRUE(ma.concrete());
     memoryWrite(cells, width, words, ma, sigOne(), dataSig(0xAB));
-    std::vector<Signal> out(width);
-    memoryRead(cells, width, words, ma, out);
-    uint8_t v = 0;
-    for (unsigned b = 0; b < width; ++b) {
-        if (out[b].asBool())
-            v |= 1u << b;
-    }
-    EXPECT_EQ(v, 0xAB);
-    EXPECT_FALSE(out[0].taint);
+    const TernWord out = memoryRead(cells, width, words, ma);
+    EXPECT_EQ(out.known, lowMask(width));
+    EXPECT_EQ(out.value, 0xABu);
+    EXPECT_EQ(out.taint, 0u);
 }
 
 TEST_F(MemFixture, TaintedAddressTaintsCell)
@@ -279,7 +272,7 @@ TEST_F(MemFixture, StrongUpdateCanUntaint)
 {
     // Overwriting a tainted cell with untainted data through a fully
     // known untainted pointer clears the taint.
-    cells[7 * width].taint = true;
+    cells.set(7 * width, Signal{Tern::Zero, true});
     auto addr = addrSig(7);
     MemAddr ma = decodeMemAddr(addr, words, 12);
     memoryWrite(cells, width, words, ma, sigOne(), dataSig(0x00));
@@ -297,8 +290,8 @@ TEST_F(MemFixture, WeakUpdateMergesValues)
                 sigOne(), dataSig(0x00));
     // Word 5 could now be 0xFF or 0x00: all bits X but untainted.
     for (unsigned b = 0; b < width; ++b) {
-        EXPECT_EQ(cells[5 * width + b].value, Tern::X);
-        EXPECT_FALSE(cells[5 * width + b].taint);
+        EXPECT_EQ(cells.get(5 * width + b).value, Tern::X);
+        EXPECT_FALSE(cells.get(5 * width + b).taint);
     }
 }
 
@@ -312,7 +305,7 @@ TEST_F(MemFixture, TaintedButZeroEnableDoesNothing)
     memoryWrite(cells, width, words, decodeMemAddr(addr, words, 12),
                 Signal{Tern::Zero, true}, dataSig(0xFF));
     EXPECT_FALSE(cellTainted(2));
-    EXPECT_EQ(cells[2 * width].value, Tern::Zero);
+    EXPECT_EQ(cells.get(2 * width).value, Tern::Zero);
 }
 
 TEST_F(MemFixture, UnknownTaintedEnableTaints)
@@ -331,22 +324,19 @@ TEST_F(MemFixture, ReadMergesUnknownAddresses)
                 sigOne(), dataSig(0x00));
     memoryWrite(cells, width, words, decodeMemAddr(addrSig(1), words, 12),
                 sigOne(), dataSig(0x01));
-    std::vector<Signal> out(width);
-    memoryRead(cells, width, words, decodeMemAddr(addrSig(0, 0x1), words,
-                                                  12),
-               out);
-    EXPECT_EQ(out[0].value, Tern::X);   // bit 0 differs
-    EXPECT_EQ(out[1].value, Tern::Zero);  // bit 1 same
+    const TernWord out = memoryRead(
+        cells, width, words, decodeMemAddr(addrSig(0, 0x1), words, 12));
+    EXPECT_EQ(out.at(0).value, Tern::X);   // bit 0 differs
+    EXPECT_EQ(out.at(1).value, Tern::Zero);  // bit 1 same
 }
 
 TEST_F(MemFixture, ReadTaintedCellPropagates)
 {
-    cells[9 * width + 2].taint = true;
-    std::vector<Signal> out(width);
-    memoryRead(cells, width, words, decodeMemAddr(addrSig(9), words, 12),
-               out);
-    EXPECT_TRUE(out[2].taint);
-    EXPECT_FALSE(out[3].taint);
+    cells.set(9 * width + 2, Signal{Tern::Zero, true});
+    const TernWord out = memoryRead(cells, width, words,
+                                    decodeMemAddr(addrSig(9), words, 12));
+    EXPECT_TRUE(out.at(2).taint);
+    EXPECT_FALSE(out.at(3).taint);
 }
 
 TEST_F(MemFixture, FullRangeFallback)
@@ -357,6 +347,212 @@ TEST_F(MemFixture, FullRangeFallback)
     size_t visited = 0;
     forEachAddr(ma, words, [&](size_t) { ++visited; });
     EXPECT_EQ(visited, words);
+}
+
+// ---- plane memory model vs the per-cell reference -----------------------
+
+/**
+ * A per-cell memory model: one Signal per cell, decoded addresses
+ * carry a list of X bit positions, and reads and writes merge bit by
+ * bit. It is the reference the word-at-a-time plane model must match
+ * on every read signal and every cell.
+ */
+namespace ref
+{
+
+struct Addr
+{
+    uint64_t base = 0;
+    std::vector<unsigned> xBits;
+    bool tainted = false;
+    bool fullRange = false;
+
+    bool concrete() const { return !fullRange && xBits.empty(); }
+};
+
+Addr
+decode(const std::vector<Signal> &addr, size_t words,
+       unsigned max_unknown_bits)
+{
+    Addr out;
+    for (size_t i = 0; i < addr.size(); ++i) {
+        out.tainted = out.tainted || addr[i].taint;
+        if (!addr[i].known())
+            out.xBits.push_back(static_cast<unsigned>(i));
+        else if (addr[i].asBool())
+            out.base |= 1ULL << i;
+    }
+    if (out.xBits.size() > max_unknown_bits ||
+        (1ULL << out.xBits.size()) >= 2 * words) {
+        out.fullRange = true;
+        out.xBits.clear();
+        out.base = 0;
+    }
+    return out;
+}
+
+template <typename Fn>
+void
+forEach(const Addr &addr, size_t words, Fn fn)
+{
+    if (addr.fullRange) {
+        for (size_t w = 0; w < words; ++w)
+            fn(w);
+        return;
+    }
+    for (size_t c = 0; c < (1ULL << addr.xBits.size()); ++c) {
+        uint64_t a = addr.base;
+        for (size_t k = 0; k < addr.xBits.size(); ++k) {
+            if ((c >> k) & 1ULL)
+                a |= 1ULL << addr.xBits[k];
+        }
+        if (a < words)
+            fn(static_cast<size_t>(a));
+    }
+}
+
+std::vector<Signal>
+read(const std::vector<Signal> &cells, unsigned width, size_t words,
+     const Addr &addr)
+{
+    std::vector<Signal> out(width, Signal{Tern::X, false});
+    if (addr.concrete()) {
+        if (addr.base < words) {
+            for (unsigned b = 0; b < width; ++b)
+                out[b] = cells[addr.base * width + b];
+        }
+    } else {
+        bool any = false;
+        forEach(addr, words, [&](size_t w) {
+            for (unsigned b = 0; b < width; ++b) {
+                const Signal &cell = cells[w * width + b];
+                if (!any) {
+                    out[b] = cell;
+                } else {
+                    out[b].value = ternMerge(out[b].value, cell.value);
+                    out[b].taint = out[b].taint || cell.taint;
+                }
+            }
+            any = true;
+        });
+    }
+    for (Signal &s : out)
+        s.taint = s.taint || addr.tainted;
+    return out;
+}
+
+void
+write(std::vector<Signal> &cells, unsigned width, size_t words,
+      const Addr &addr, const Signal &we, const std::vector<Signal> &data)
+{
+    if (we.known() && !we.asBool())
+        return;
+    const bool extra = we.taint || addr.tainted;
+    if (we.known() && addr.concrete()) {
+        if (addr.base >= words)
+            return;
+        for (unsigned b = 0; b < width; ++b) {
+            cells[addr.base * width + b] = data[b];
+            cells[addr.base * width + b].taint = data[b].taint || extra;
+        }
+        return;
+    }
+    forEach(addr, words, [&](size_t w) {
+        for (unsigned b = 0; b < width; ++b) {
+            Signal &cell = cells[w * width + b];
+            cell.value = ternMerge(cell.value, data[b].value);
+            cell.taint = cell.taint || data[b].taint || extra;
+        }
+    });
+}
+
+} // namespace ref
+
+TEST(MemoryPlanesDifferential, ReadsAndWritesMatchPerCellReference)
+{
+    std::mt19937 rng(20261017);
+    auto signal = [&rng](unsigned x_in, unsigned taint_in) {
+        const Tern v = rng() % x_in == 0 ? Tern::X : ternBool(rng() & 1);
+        return Signal{v, rng() % taint_in == 0};
+    };
+    for (unsigned width : {1u, 3u, 5u, 16u, 23u, 64u}) {
+        for (size_t words : {1u, 7u, 13u, 40u}) {
+            for (unsigned max_x : {12u, 1u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << width << " bits x " << words
+                             << " words, max X bits " << max_x);
+                std::vector<Signal> want(words * width);
+                TernPlanes got(words * width);
+                for (size_t i = 0; i < want.size(); ++i) {
+                    want[i] = signal(3, 3);
+                    got.set(i, want[i]);
+                }
+                // One bit wider than the word index: out-of-range
+                // addresses are reachable too.
+                std::vector<Signal> addr(bitsFor(words) + 1);
+                for (int op = 0; op < 300; ++op) {
+                    SCOPED_TRACE(op);
+                    for (Signal &s : addr)
+                        s = signal(4, 8);
+                    const ref::Addr ra = ref::decode(addr, words, max_x);
+                    const MemAddr ma = decodeMemAddr(addr, words, max_x);
+                    ASSERT_EQ(ma.tainted, ra.tainted);
+                    ASSERT_EQ(ma.fullRange, ra.fullRange);
+                    ASSERT_EQ(ma.concrete(), ra.concrete());
+
+                    if (rng() % 2 == 0) {
+                        const TernWord out =
+                            memoryRead(got, width, words, ma);
+                        const std::vector<Signal> exp =
+                            ref::read(want, width, words, ra);
+                        for (unsigned b = 0; b < width; ++b)
+                            ASSERT_EQ(out.at(b), exp[b]) << "read bit " << b;
+                        // Nothing above the word's width.
+                        ASSERT_EQ((out.known | out.value | out.taint) &
+                                      ~lowMask(width), 0u);
+                        continue;
+                    }
+                    const Signal we = signal(3, 2);
+                    std::vector<Signal> data(width);
+                    TernWord packed;
+                    for (unsigned b = 0; b < width; ++b) {
+                        data[b] = signal(3, 3);
+                        packed.set(b, data[b]);
+                    }
+                    memoryWrite(got, width, words, ma, we, packed);
+                    ref::write(want, width, words, ra, we, data);
+                    for (size_t i = 0; i < want.size(); ++i)
+                        ASSERT_EQ(got.get(i), want[i]) << "cell " << i;
+                    // The value bit stays 0 under an X.
+                    ASSERT_TRUE(got.value().subsetOf(got.known()));
+                }
+            }
+        }
+    }
+}
+
+TEST(MemoryPlanesDifferential, BitRangesLeaveNeighboursAlone)
+{
+    std::mt19937_64 rng(63);
+    for (size_t pos : {0u, 1u, 63u, 64u, 100u}) {
+        for (unsigned n : {1u, 37u, 63u, 64u}) {
+            SCOPED_TRACE(::testing::Message() << pos << "+" << n);
+            BitPlane plane(256);
+            for (uint64_t &w : plane.words())
+                w = rng();
+            const BitPlane before = plane;
+            const uint64_t bits = rng();
+            plane.setBits(pos, n, bits);
+            EXPECT_EQ(plane.getBits(pos, n), bits & lowMask(n));
+            for (size_t i = 0; i < plane.size(); ++i) {
+                const bool inside = i >= pos && i < pos + n;
+                ASSERT_EQ(plane.get(i),
+                          inside ? bit(bits, static_cast<unsigned>(i - pos))
+                                 : before.get(i))
+                    << "bit " << i;
+            }
+        }
+    }
 }
 
 } // namespace

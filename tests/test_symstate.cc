@@ -83,7 +83,7 @@ TEST(SymState, CaptureRestoreRoundTrip)
     sigs.setNet(f.flops[0].q, sigBool(1, true));
     sigs.setNet(f.flops[1].q, sigX());
     sigs.setNet(f.flops[2].q, sigBool(0, false));
-    sigs.memCells(0)[5] = Signal{Tern::One, true};
+    sigs.memCells(0).set(5, Signal{Tern::One, true});
 
     SymState s(layout);
     s.capture(layout, sigs);
@@ -93,7 +93,7 @@ TEST(SymState, CaptureRestoreRoundTrip)
     EXPECT_EQ(other.net(f.flops[0].q), sigBool(1, true));
     EXPECT_EQ(other.net(f.flops[1].q), sigX());
     EXPECT_EQ(other.net(f.flops[2].q), sigBool(0, false));
-    EXPECT_EQ(other.memCells(0)[5], (Signal{Tern::One, true}));
+    EXPECT_EQ(other.memCells(0).get(5), (Signal{Tern::One, true}));
 
     SymState s2(layout);
     s2.capture(layout, other);
@@ -163,23 +163,6 @@ TEST(SymState, MergeProducesJoin)
     // Both inputs are subsumed by the join.
     EXPECT_TRUE(a.subsumedBy(merged));
     EXPECT_TRUE(b.subsumedBy(merged));
-}
-
-TEST(SymState, MergeTaintDiffsFlag)
-{
-    Fixture f;
-    SymLayout layout(f.nl);
-    SymState a(layout);
-    SymState b(layout);
-    for (size_t i = 0; i < layout.slots(); ++i) {
-        a.setSlot(i, sigBool(0));
-        b.setSlot(i, sigBool(0));
-    }
-    b.setSlot(3, sigBool(1));
-    SymState m = a;
-    m.mergeWith(b, true);
-    EXPECT_TRUE(m.slot(3).taint);          // differing slot tainted
-    EXPECT_FALSE(m.slot(2).taint);         // equal slot untouched
 }
 
 TEST(SymState, MergeIsMonotone)
@@ -269,8 +252,9 @@ randomize(const Netlist &nl, SignalState &sigs, std::mt19937 &rng,
     for (GateId g : nl.dffs())
         sigs.setNet(nl.gate(g).out, randomSignal(rng));
     for (MemId m = 0; m < nl.numMemories(); ++m) {
-        for (Signal &cell : sigs.memCells(m))
-            cell = randomSignal(rng);
+        TernPlanes &cells = sigs.memCells(m);
+        for (size_t i = 0; i < cells.size(); ++i)
+            cells.set(i, randomSignal(rng));
     }
     sigs.setNet(other, randomSignal(rng));
 }
@@ -283,9 +267,9 @@ referenceCapture(const SymLayout &layout, const SignalState &sigs)
     for (size_t i = 0; i < layout.dffNets().size(); ++i)
         ref.setSlot(layout.dffSlot(i), sigs.net(layout.dffNets()[i]));
     for (const auto &[mem, base] : layout.mems()) {
-        const std::vector<Signal> &cells = sigs.memCells(mem);
+        const TernPlanes &cells = sigs.memCells(mem);
         for (size_t i = 0; i < cells.size(); ++i)
-            ref.setSlot(base + i, cells[i]);
+            ref.setSlot(base + i, cells.get(i));
     }
     return ref;
 }
@@ -298,11 +282,15 @@ expectSameState(const SymLayout &layout, const SignalState &want,
     for (NetId n : layout.dffNets())
         ASSERT_EQ(got.net(n), want.net(n)) << "flop net " << n;
     for (const auto &[mem, base] : layout.mems()) {
-        const std::vector<Signal> &a = want.memCells(mem);
-        const std::vector<Signal> &b = got.memCells(mem);
+        const TernPlanes &a = want.memCells(mem);
+        const TernPlanes &b = got.memCells(mem);
         ASSERT_EQ(a.size(), b.size());
         for (size_t i = 0; i < a.size(); ++i)
-            ASSERT_EQ(b[i], a[i]) << "memory " << mem << " cell " << i;
+            ASSERT_EQ(b.get(i), a.get(i))
+                << "memory " << mem << " cell " << i;
+        // A value bit left set under an X is invisible to get() but
+        // reaches SymState ==, explore digests and checkpoint bytes.
+        ASSERT_TRUE(b == a) << "memory " << mem << ": planes differ";
     }
 }
 
