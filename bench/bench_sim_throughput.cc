@@ -225,10 +225,10 @@ BM_SymStateRestore(benchmark::State &state)
     Simulator sim(soc.netlist());
     SymLayout layout(soc.netlist());
     SymState s(layout);
-    s.capture(layout, sim.state());
+    SignalState &sigs = sim.state();
+    s.capture(layout, sigs);
     for (auto _ : state) {
-        s.restore(layout, sim.state());
-        benchmark::DoNotOptimize(sim.state().rawNets().data());
+        s.restore(layout, sigs);
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * layout.slots());

@@ -358,7 +358,7 @@ FlowChecker::checkRead(const Simulator &sim, uint16_t instr_addr,
     }
 
     // Tainted cells anywhere in the reachable read set.
-    const BitPlane &taint = sim.state().memCells(prb.dataMem).taint();
+    const BitPlane &taint = sim.memCells(prb.dataMem).taint();
     const unsigned width = soc.netlist().memory(prb.dataMem).width;
     forEachInRange(addr, iot430::kRamBase, iot430::kRamEnd,
                    [&](uint16_t a) {
@@ -427,7 +427,7 @@ FlowChecker::checkMemoryInvariant(const Simulator &sim,
 {
     ++checkerStats().memoryScans;
     const SocProbes &prb = soc.probes();
-    const BitPlane &taint = sim.state().memCells(prb.dataMem).taint();
+    const BitPlane &taint = sim.memCells(prb.dataMem).taint();
     const unsigned width = soc.netlist().memory(prb.dataMem).width;
 
     for (const MemPartition &m : policy.mem) {

@@ -552,7 +552,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume,
         ctx.gov.chargeCycles(1);
 
         SymState s0(ctx.ps.layout);
-        s0.capture(ctx.ps.layout, ctx.ps.sim.state());
+        s0.capture(ctx.ps.layout, ctx.ps.sim);
         ctx.stack.push_back({std::move(s0), ctx.tree.addNode(-1, 0)});
     }
 

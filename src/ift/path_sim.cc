@@ -45,8 +45,7 @@ PathSim::loadProgram()
 void
 PathSim::restore(const SymState &s)
 {
-    s.restore(layout, sim.state());
-    sim.markAllDirty();
+    s.restore(layout, sim);
 }
 
 void
@@ -101,17 +100,6 @@ PathSim::busHasX(const Bus &bus) const
             return true;
     }
     return false;
-}
-
-void
-PathSim::accumulateTaint(BitPlane &plane) const
-{
-    const auto &nets = sim.state().rawNets();
-    auto &words = plane.words();
-    for (size_t i = 0; i < nets.size(); ++i) {
-        if (nets[i].taint)
-            words[i / 64] |= 1ULL << (i % 64);
-    }
 }
 
 std::vector<unsigned>
@@ -222,21 +210,22 @@ PathSim::starSaturate(BitPlane *everTainted)
 {
     ++engineStats().starSaturations;
     GLIFS_TRACE_INSTANT("engine", "star_saturate");
-    // Bulk mutation of flop outputs and memory cells below
-    // bypasses the simulator's tracked setters; invalidate its
-    // dirty set so the settle runs every unit.
+    // Every flop and memory cell changes below: invalidate the dirty
+    // set up front so the settle runs every unit.
     sim.markAllDirty();
     const Netlist &nl = soc.netlist();
     for (GateId g : nl.dffs())
-        sim.state().setNet(nl.gate(g).out, Signal{Tern::X, true});
+        sim.setNet(nl.gate(g).out, Signal{Tern::X, true});
     for (MemId m = 0; m < nl.numMemories(); ++m) {
-        const MemoryDecl &decl = nl.memory(m);
-        if (!decl.writable)
+        if (!nl.memory(m).writable)
             continue;
-        const TernWord x_tainted{0, 0, lowMask(decl.width)};
-        for (size_t w = 0; w < decl.words; ++w)
-            sim.state().memCells(m).setWord(w * decl.width, decl.width,
-                                            x_tainted);
+        const size_t cells = sim.memCells(m).size();
+        BitPlane taint(cells);
+        taint.setAll();
+        sim.setMemCells(m,
+                        TernPlanes(BitPlane(cells), BitPlane(cells),
+                                   std::move(taint)),
+                        0);
     }
     const SocProbes &prb = soc.probes();
     sim.setInput(prb.extReset, sigBool(false));
@@ -245,8 +234,11 @@ PathSim::starSaturate(BitPlane *everTainted)
             sim.setInput(prb.portIn[p][b], Signal{Tern::X, true});
     }
     sim.evalComb();
-    if (cfg.trackTaintedNets && everTainted)
-        accumulateTaint(*everTainted);
+    if (cfg.trackTaintedNets && everTainted) {
+        std::vector<uint64_t> taintSlots(sim.planeWords(), 0);
+        sim.orTaint(taintSlots);
+        sim.slotsToNets(taintSlots, *everTainted);
+    }
 
     size_t tainted = 0;
     size_t total = 0;
@@ -272,8 +264,11 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
                     uint64_t cycleBase)
 {
     SegmentResult res;
+    // Each settle's taint plane is ORed in slot order; the nets are
+    // named once, at the segment's end.
+    std::vector<uint64_t> taintSlots;
     if (cfg.trackTaintedNets)
-        res.taintDelta = BitPlane(soc.netlist().numNets());
+        taintSlots.assign(sim.planeWords(), 0);
     ViolationLog seglog;
     // The checker logs on the absolute clock; the result carries
     // segment-relative cycles so it stays a function of start alone.
@@ -281,6 +276,10 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
         res.violations = seglog.list();
         for (Violation &v : res.violations)
             v.firstCycle -= cycleBase;
+        if (cfg.trackTaintedNets) {
+            res.taintDelta = BitPlane(soc.netlist().numNets());
+            sim.slotsToNets(taintSlots, res.taintDelta);
+        }
     };
     const SocProbes &prb = soc.probes();
 
@@ -295,7 +294,7 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
             CycleAction act = hooks.poll();
             if (act == CycleAction::Stop) {
                 res.stopped = true;
-                res.end.capture(layout, sim.state());
+                res.end.capture(layout, sim);
                 ++engineStats().stateCaptures;
                 res.endInstr = tryBusValue(prb.instrAddrQ);
                 collect();
@@ -315,7 +314,7 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
         if (hooks.cycleCharged)
             hooks.cycleCharged();
         if (cfg.trackTaintedNets)
-            accumulateTaint(res.taintDelta);
+            sim.orTaint(taintSlots);
 
         const uint16_t instr_addr =
             busValue(prb.instrAddrQ, "instruction address");
@@ -365,13 +364,13 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
         Signal por = sim.netValue(prb.porNet);
         if (!por.known()) {
             SymState pre(layout);
-            pre.capture(layout, sim.state());
+            pre.capture(layout, sim);
 
             // Fired branch: POR forced high; PC resets to 0.
             sim.setNet(prb.porNet, Signal{Tern::One, por.taint});
             sim.clockEdge();
             SymState fired(layout);
-            fired.capture(layout, sim.state());
+            fired.capture(layout, sim);
             engineStats().stateCaptures += 2;
             GLIFS_ASSERT(statePcXBits(fired).empty(),
                          "POR branch left the PC unknown");
@@ -401,7 +400,7 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
         if (cfg.disableMerging && !pc_unknown)
             continue; // ablation: no subsumption, no merging
 
-        res.end.capture(layout, sim.state());
+        res.end.capture(layout, sim);
         ++engineStats().stateCaptures;
         res.endInstr = instr_addr;
         res.endFsm = fsm;

@@ -72,8 +72,10 @@ struct SegmentResult
     /** POR forks taken, in push order. */
     std::vector<SegmentPorFork> porForks;
 
-    /** Nets that carried taint during the segment (empty when
-     *  EngineConfig::trackTaintedNets is off). */
+    /** Nets that carried taint after any of the segment's settles
+     *  (empty when EngineConfig::trackTaintedNets is off). Collected
+     *  from the simulator's taint plane each cycle, in slot order, and
+     *  mapped to nets once at the segment's end. */
     BitPlane taintDelta;
 };
 
@@ -127,10 +129,11 @@ class PathSim
     void loadProgram();
 
     /**
-     * Put a captured state back into the simulator. The only way a
-     * SymState re-enters it: the bulk write bypasses the simulator's
-     * dirty tracking, so this also invalidates it (the next settle
-     * runs every unit).
+     * Put a captured state back into the simulator, the only way a
+     * SymState re-enters it. It goes through the simulator's dirty
+     * tracking (SymState::restore(layout, Simulator &)), so the next
+     * settle runs only the units reading a flop or memory this state
+     * changed; nothing is invalidated.
      */
     void restore(const SymState &s);
 
@@ -145,9 +148,6 @@ class PathSim
     uint16_t tryBusValue(const Bus &bus) const;
 
     bool busHasX(const Bus &bus) const;
-
-    /** OR this cycle's net taints into @p plane. */
-    void accumulateTaint(BitPlane &plane) const;
 
     /** Unknown PC bits of a captured state. */
     std::vector<unsigned> statePcXBits(const SymState &s) const;

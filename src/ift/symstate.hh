@@ -18,6 +18,7 @@
 #include "logic/tern_planes.hh"
 #include "netlist/netlist.hh"
 #include "sim/signal_state.hh"
+#include "sim/simulator.hh"
 
 namespace glifs
 {
@@ -60,8 +61,20 @@ class SymState
     /** Capture flops and memories from a simulation state. */
     void capture(const SymLayout &layout, const SignalState &sigs);
 
+    /** Capture from a live simulator, decoding none of its comb nets. */
+    void capture(const SymLayout &layout, const Simulator &sim);
+
     /** Write flops and memories back into a simulation state. */
     void restore(const SymLayout &layout, SignalState &sigs) const;
+
+    /**
+     * Write flops and memories back into a live simulator through its
+     * dirty tracking: each flop through Simulator::setNet and each
+     * memory through Simulator::setMemCells, both no-ops where nothing
+     * changed, so the next settle runs only the units reading what
+     * this state changed.
+     */
+    void restore(const SymLayout &layout, Simulator &sim) const;
 
     /**
      * Substate test: true iff every concrete machine state described

@@ -96,8 +96,12 @@ class TernPlanes
         t.setBits(first, n, w.taint);
     }
 
-    /** Cells [first, first + n) := cells [src_first, +n) of @p src. */
-    void copyRange(size_t first, const TernPlanes &src, size_t src_first,
+    /**
+     * Cells [first, first + n) := cells [src_first, +n) of @p src, a
+     * plane word at a time at any pair of bit offsets. Returns whether
+     * any destination cell changed in any of the three planes.
+     */
+    bool copyRange(size_t first, const TernPlanes &src, size_t src_first,
                    size_t n);
 
     /**

@@ -82,6 +82,7 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
     CompiledNetlist cn;
     cn.producerUnit.assign(nl.numNets(), -1);
     cn.unitOfMem.assign(nl.numMemories(), 0);
+    cn.memReadWord.assign(nl.numMemories(), 0);
     cn.slotOfNet.assign(nl.numNets(), kNoSlot);
 
     // ---- unit assignment -------------------------------------------
@@ -157,7 +158,6 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
     std::sort(dffs.begin(), dffs.end(), [&](GateId x, GateId y) {
         return nl.gate(x).out < nl.gate(y).out;
     });
-    std::vector<uint32_t> dffWordOfGate(nl.numGates(), 0);
     for (size_t base = 0; base < dffs.size(); base += 64) {
         const size_t n = std::min<size_t>(64, dffs.size() - base);
         DffWord dw;
@@ -170,8 +170,6 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
                             static_cast<uint32_t>(l));
             if (g.rstVal)
                 dw.rstVal |= 1ULL << l;
-            dffWordOfGate[dffs[base + l]] =
-                static_cast<uint32_t>(cn.dffWords.size());
         }
         cn.dffWords.push_back(dw);
     }
@@ -192,6 +190,7 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
             placeNet(n, (word << 6) + bit++);
         }
     }
+    cn.sourceWords = cn.planeWords;
 
     // ---- per-unit lowering ------------------------------------------
     // Units are processed in schedule order, so every input of a unit
@@ -205,6 +204,7 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
             const MemoryDecl &decl = nl.memory(u.index);
             GLIFS_ASSERT(decl.width <= 64, "mem width > 64");
             const uint32_t w = allocWord();
+            cn.memReadWord[u.index] = w;
             for (unsigned b = 0; b < decl.width; ++b)
                 placeNet(decl.readData[b], (w << 6) + b);
             continue;
@@ -283,61 +283,82 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
         cn.slotNet[cn.slotOfNet[n]] = n;
     }
 
-    // ---- net -> mark-target CSR ------------------------------------
-    // Targets < units.size() are consuming units; units.size() + i is
-    // dff word i (its D/RST/EN/Q inputs -- Q included, so an external
-    // Q override or a committed Q change re-arms the word's own edge
-    // computation).
+    // ---- plane word -> reader index ---------------------------------
+    // One pass over the targets in ascending order: every gather op
+    // reads the lanes rotr(mask, rot) of its word (one lane for a
+    // broadcast), a read port its address slots, a dff word its own Q
+    // word. A target's entries are merged per word, then bucketed by
+    // word, which keeps each bucket in ascending target order.
     const uint32_t numUnits = static_cast<uint32_t>(cn.units.size());
-    std::vector<uint32_t> counts(nl.numNets(), 0);
-    auto eachEdge = [&](auto &&fn) {
-        for (GateId g = 0; g < nl.numGates(); ++g) {
-            const Gate &gate = nl.gate(g);
-            if (gate.type == GateType::Comb) {
-                const unsigned arity = gateArity(gate.kind);
-                const uint32_t unit = static_cast<uint32_t>(
-                    cn.producerUnit[gate.out]);
-                for (unsigned i = 0; i < arity; ++i) {
-                    if (gate.in[i] != kNoNet)
-                        fn(gate.in[i], unit);
-                }
-            } else if (gate.type == GateType::Dff) {
-                const uint32_t target = numUnits + dffWordOfGate[g];
-                for (unsigned i = 0; i < 3; ++i) {
-                    if (gate.in[i] != kNoNet)
-                        fn(gate.in[i], target);
-                }
-                fn(gate.out, target);
+    struct Entry
+    {
+        uint32_t word;
+        WordReader reader;
+    };
+    std::vector<Entry> entries;
+    std::vector<uint32_t> counts(cn.planeWords, 0);
+    size_t targetBegin = 0;
+    auto add = [&](uint32_t target, uint32_t word, uint64_t lanes) {
+        for (size_t e = targetBegin; e < entries.size(); ++e) {
+            if (entries[e].word == word) {
+                entries[e].reader.lanes |= lanes;
+                return;
             }
         }
-        for (MemId m = 0; m < nl.numMemories(); ++m) {
-            for (NetId a : nl.memory(m).readAddr) {
-                if (a != kNoNet)
-                    fn(a, cn.unitOfMem[m]);
-            }
+        entries.push_back({word, {target, lanes}});
+        ++counts[word];
+    };
+    auto addOps = [&](uint32_t target, const OpRange &range) {
+        for (const PlaneOp &op : cn.opsOf(range)) {
+            add(target, op.word,
+                op.rot & PlaneOp::kBroadcast
+                    ? 1ULL << (op.rot & 63)
+                    : std::rotr(op.mask, op.rot));
         }
     };
-    eachEdge([&](NetId n, uint32_t) { ++counts[n]; });
-    cn.consumerOffsets.assign(nl.numNets() + 1, 0);
-    for (size_t n = 0; n < nl.numNets(); ++n)
-        cn.consumerOffsets[n + 1] = cn.consumerOffsets[n] + counts[n];
-    cn.consumerUnits.resize(cn.consumerOffsets.back());
-    std::vector<uint32_t> cursor(cn.consumerOffsets.begin(),
-                                 cn.consumerOffsets.end() - 1);
-    eachEdge([&](NetId n, uint32_t unit) {
-        cn.consumerUnits[cursor[n]++] = unit;
-    });
-
-    // Every combinational consumer must be scheduled strictly after
-    // its producer; the ascending dirty-unit drain relies on it.
-    for (NetId n = 0; n < nl.numNets(); ++n) {
-        const int32_t p = cn.producerUnit[n];
-        if (p < 0)
+    for (uint32_t u = 0; u < numUnits; ++u) {
+        targetBegin = entries.size();
+        const EvalUnit &unit = cn.units[u];
+        if (unit.kind == EvalUnit::Kind::MemRead) {
+            for (NetId a : nl.memory(unit.index).readAddr) {
+                if (a != kNoNet) {
+                    add(u, cn.slotOfNet[a] >> 6,
+                        1ULL << (cn.slotOfNet[a] & 63));
+                }
+            }
             continue;
-        for (uint32_t c : cn.consumersOf(n)) {
-            GLIFS_ASSERT(c >= numUnits ||
-                             static_cast<int32_t>(c) > p,
-                         "compile: unit order violated on net ", n);
+        }
+        const PackedBatch &pb = cn.batches[unit.index];
+        for (unsigned s = 0; s < pb.arity; ++s)
+            addOps(u, pb.gather[s]);
+    }
+    for (uint32_t i = 0; i < cn.dffWords.size(); ++i) {
+        targetBegin = entries.size();
+        const DffWord &dw = cn.dffWords[i];
+        addOps(numUnits + i, dw.gatherD);
+        addOps(numUnits + i, dw.gatherRst);
+        addOps(numUnits + i, dw.gatherEn);
+        add(numUnits + i, dw.qWord, dw.laneMask);
+    }
+    cn.readerOffsets.assign(cn.planeWords + 1, 0);
+    for (size_t w = 0; w < cn.planeWords; ++w)
+        cn.readerOffsets[w + 1] = cn.readerOffsets[w] + counts[w];
+    cn.readers.resize(entries.size());
+    std::vector<uint32_t> cursor(cn.readerOffsets.begin(),
+                                 cn.readerOffsets.end() - 1);
+    for (const Entry &e : entries)
+        cn.readers[cursor[e.word]++] = e.reader;
+
+    // Every unit reading a unit's output word must be scheduled
+    // strictly after it; the ascending dirty-unit drain relies on it.
+    for (uint32_t u = 0; u < numUnits; ++u) {
+        const EvalUnit &unit = cn.units[u];
+        const uint32_t word = unit.kind == EvalUnit::Kind::Batch
+                                  ? cn.batches[unit.index].outWord
+                                  : cn.memReadWord[unit.index];
+        for (const WordReader &r : cn.readersOf(word)) {
+            GLIFS_ASSERT(r.target >= numUnits || r.target > u,
+                         "compile: unit order violated on word ", word);
         }
     }
     return cn;

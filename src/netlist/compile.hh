@@ -26,9 +26,13 @@
  * computed before any is committed) and packed as well: dffWords of up to 64 flops whose Q
  * slots are one dedicated word (commit is a word write), with gather
  * programs for D/RST/EN and a per-lane reset-value mask, evaluated by
- * dffNextKernel(). Edge work is event-driven too: the consumer index
- * maps every net to the dff words reading it, so quiescent flops cost
- * nothing.
+ * dffNextKernel().
+ *
+ * Change propagation works on plane words too: the reader index lists,
+ * for every plane word, each unit or dff word reading it together with
+ * the lanes it reads, so a word store marks exactly the targets whose
+ * lanes intersect the store's changed lanes, and quiescent logic and
+ * flops cost nothing.
  */
 
 #ifndef GLIFS_NETLIST_COMPILE_HH
@@ -101,14 +105,27 @@ struct DffWord
     OpRange gatherEn;
 };
 
+/** One reader of a plane word: a mark target and the lanes it reads. */
+struct WordReader
+{
+    uint32_t target;  ///< unit index, or units.size() + i for dff word i
+    uint64_t lanes;   ///< lanes of the word the target reads
+};
+
 /**
  * The compiled program plus the net <-> slot permutation and the
- * net -> consumer indices needed to drive it event-driven. Built once
- * per Simulator; immutable afterwards.
+ * plane word -> reader index needed to drive it event-driven. Built
+ * once per Simulator; immutable afterwards.
  */
 struct CompiledNetlist
 {
     size_t planeWords = 0;  ///< words per plane (permuted slot space)
+    /**
+     * Words [0, sourceWords) hold the source nets -- flip-flop Q
+     * outputs, primary inputs, constants, undriven nets; every later
+     * word is the output of exactly one unit.
+     */
+    size_t sourceWords = 0;
     size_t combLanes = 0;   ///< total packed gate lanes (= comb gates)
 
     std::vector<PlaneOp> ops;  ///< shared gather-op pool
@@ -118,6 +135,8 @@ struct CompiledNetlist
 
     /** Unit index evaluating each memory read port. */
     std::vector<uint32_t> unitOfMem;
+    /** Plane word holding each read port's data (lanes 0..width-1). */
+    std::vector<uint32_t> memReadWord;
 
     /** Unit producing each net, or -1 for sources (inputs, consts, Q). */
     std::vector<int32_t> producerUnit;
@@ -128,18 +147,20 @@ struct CompiledNetlist
     std::vector<NetId> slotNet;
 
     /**
-     * CSR net -> mark targets: a value < units.size() is a consuming
-     * unit; units.size() + i is dff word i reading the net through
-     * D/RST/EN/Q. May contain duplicates.
+     * CSR plane word -> readers, one entry per (word, target): a
+     * consuming unit, or dff word i reading the word through its
+     * D/RST/EN gathers or as its own Q word (so an external Q override
+     * or a committed Q change re-arms the word's edge computation).
+     * Entries of a word are in ascending target order.
      */
-    std::vector<uint32_t> consumerOffsets;
-    std::vector<uint32_t> consumerUnits;
+    std::vector<uint32_t> readerOffsets;
+    std::vector<WordReader> readers;
 
-    std::span<const uint32_t>
-    consumersOf(NetId net) const
+    std::span<const WordReader>
+    readersOf(uint32_t word) const
     {
-        return {consumerUnits.data() + consumerOffsets[net],
-                consumerOffsets[net + 1] - consumerOffsets[net]};
+        return {readers.data() + readerOffsets[word],
+                readerOffsets[word + 1] - readerOffsets[word]};
     }
 
     std::span<const PlaneOp>

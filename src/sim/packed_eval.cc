@@ -1,5 +1,6 @@
 #include "sim/packed_eval.hh"
 
+#include <algorithm>
 #include <bit>
 
 namespace glifs
@@ -12,40 +13,63 @@ PackedEval::PackedEval(const Netlist &nl,
     : cn(compileNetlist(nl, order)),
       numUnits(static_cast<uint32_t>(cn.units.size()))
 {
-    vlo.assign(cn.planeWords, 0);
-    vhi.assign(cn.planeWords, 0);
+    // Every comb net reads X until its first settle, as in a fresh
+    // SignalState.
+    vlo.assign(cn.planeWords, ~0ULL);
+    vhi.assign(cn.planeWords, ~0ULL);
     vtnt.assign(cn.planeWords, 0);
     unitDirty.assign((cn.units.size() + 63) / 64, 0);
     dffDirty.assign((cn.dffWords.size() + 63) / 64, 0);
     dffNextQ.resize(cn.dffWords.size());
-    changedNets.reserve(256);
 }
 
 void
-PackedEval::importState(const SignalState &sigs)
+PackedEval::importSources(const SignalState &sigs)
 {
-    std::fill(vlo.begin(), vlo.end(), 0);
-    std::fill(vhi.begin(), vhi.end(), 0);
-    std::fill(vtnt.begin(), vtnt.end(), 0);
-    const std::vector<Signal> &nets = sigs.rawNets();
-    for (NetId n = 0; n < nets.size(); ++n) {
-        const Signal &s = nets[n];
-        const uint32_t slot = cn.slotOfNet[n];
-        const uint64_t bit = 1ULL << (slot & 63);
-        if (s.value != Tern::One)
-            vlo[slot >> 6] |= bit;
-        if (s.value != Tern::Zero)
-            vhi[slot >> 6] |= bit;
-        if (s.taint)
-            vtnt[slot >> 6] |= bit;
+    for (size_t w = 0; w < cn.sourceWords; ++w) {
+        uint64_t lo = 0;
+        uint64_t hi = 0;
+        uint64_t tnt = 0;
+        for (unsigned lane = 0; lane < 64; ++lane) {
+            const NetId n = cn.slotNet[(w << 6) + lane];
+            if (n == kNoNet)
+                continue;
+            const Signal s = sigs.net(n);
+            const uint64_t bit = 1ULL << lane;
+            lo |= s.value != Tern::One ? bit : 0;
+            hi |= s.value != Tern::Zero ? bit : 0;
+            tnt |= s.taint ? bit : 0;
+        }
+        vlo[w] = lo;
+        vhi[w] = hi;
+        vtnt[w] = tnt;
     }
 }
 
 void
-PackedEval::clearAllDirty()
+PackedEval::exportComb(SignalState &sigs) const
+{
+    for (size_t w = cn.sourceWords; w < cn.planeWords; ++w) {
+        const Planes p{vlo[w], vhi[w], vtnt[w]};
+        for (unsigned lane = 0; lane < 64; ++lane) {
+            const NetId n = cn.slotNet[(w << 6) + lane];
+            if (n != kNoNet)
+                sigs.setNet(n, packed::getLane(p, lane));
+        }
+    }
+}
+
+void
+PackedEval::orTaint(std::vector<uint64_t> &acc) const
+{
+    for (size_t w = 0; w < vtnt.size(); ++w)
+        acc[w] |= vtnt[w];
+}
+
+void
+PackedEval::clearUnitDirty()
 {
     std::fill(unitDirty.begin(), unitDirty.end(), 0);
-    std::fill(dffDirty.begin(), dffDirty.end(), 0);
 }
 
 Planes
@@ -67,27 +91,22 @@ PackedEval::gather(const OpRange &r) const
     return p;
 }
 
-size_t
+PackedEval::StoreDiff
 PackedEval::storeWord(uint32_t w, uint64_t mask, const Planes &out)
 {
     const uint64_t nLo = (vlo[w] & ~mask) | (out.lo & mask);
     const uint64_t nHi = (vhi[w] & ~mask) | (out.hi & mask);
     const uint64_t nTnt = (vtnt[w] & ~mask) | (out.tnt & mask);
-    const uint64_t valueDiff = (vlo[w] ^ nLo) | (vhi[w] ^ nHi);
-    uint64_t diff = valueDiff | (vtnt[w] ^ nTnt);
-    if (!diff)
-        return 0;
+    StoreDiff d;
+    d.toggled = (vlo[w] ^ nLo) | (vhi[w] ^ nHi);
+    d.changed = d.toggled | (vtnt[w] ^ nTnt);
+    if (!d.changed)
+        return d;
     vlo[w] = nLo;
     vhi[w] = nHi;
     vtnt[w] = nTnt;
-    const uint32_t base = w << 6;
-    while (diff) {
-        changedNets.push_back(
-            cn.slotNet[base +
-                       static_cast<uint32_t>(std::countr_zero(diff))]);
-        diff &= diff - 1;
-    }
-    return std::popcount(valueDiff);
+    markReaders(w, d.changed);
+    return d;
 }
 
 size_t
@@ -98,7 +117,16 @@ PackedEval::runBatch(uint32_t batch)
     for (unsigned s = 0; s < pb.arity; ++s)
         in[s] = gather(pb.gather[s]);
     const Planes out = packed::evalKernel(pb.kind, in[0], in[1], in[2]);
-    return storeWord(pb.outWord, pb.laneMask, out);
+    return std::popcount(storeWord(pb.outWord, pb.laneMask, out).toggled);
+}
+
+void
+PackedEval::storeMemRead(MemId m, unsigned width, const TernWord &data)
+{
+    // TernWord -> lo/hi: known 1 is (0,1), known 0 is (1,0), X is (1,1).
+    const Planes p{~(data.known & data.value), ~data.known | data.value,
+                   data.taint};
+    storeWord(cn.memReadWord[m], lowMask(width), p);
 }
 
 void
@@ -113,10 +141,17 @@ PackedEval::computeDffWord(uint32_t i)
 }
 
 size_t
-PackedEval::commitDffWord(uint32_t i)
+PackedEval::commitDffWord(uint32_t i, SignalState &sigs)
 {
     const DffWord &dw = cn.dffWords[i];
-    return storeWord(dw.qWord, dw.laneMask, dffNextQ[i]);
+    const StoreDiff d = storeWord(dw.qWord, dw.laneMask, dffNextQ[i]);
+    const uint32_t base = dw.qWord << 6;
+    for (uint64_t lanes = d.changed; lanes; lanes &= lanes - 1) {
+        const NetId n =
+            cn.slotNet[base + static_cast<uint32_t>(std::countr_zero(lanes))];
+        sigs.setNet(n, signalAt(n));
+    }
+    return std::popcount(d.toggled);
 }
 
 } // namespace glifs

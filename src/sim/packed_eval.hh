@@ -6,16 +6,18 @@
  * slot space -- see netlist/compile.hh), the unit- and dff-word dirty
  * bitsets and the staged flip-flop next states, and executes the
  * CompiledNetlist. The Simulator drives it: it decides which units
- * run (event-driven drain or full pass), interprets the memory
- * read/write ports, and mirrors every changed net back into the
- * scalar SignalState so the rest of the system keeps a single
- * readable source of truth.
+ * run (event-driven drain or full pass) and interprets the memory
+ * read/write ports.
  *
- * Coherence contract: from an importState() until the Simulator's
- * next markAllDirty(), every net's slot equals sigs.net(net). The run
- * methods report the nets they changed through changedNets so the
- * caller can mirror them; writes coming from outside go through
- * setNetPlanes().
+ * The planes hold every net. Comb nets (unit outputs, the words from
+ * sourceWords up) live only here; the Simulator's SignalState keeps
+ * the source nets and memories. Coherence contract: from the
+ * importSources() of a settle or edge until the next markAllDirty(),
+ * every source slot equals the SignalState's net. Every word store
+ * (a unit's output, a committed Q word) and every setNetPlanes() of
+ * the Simulator marks the readers of the lanes it changed through the
+ * reader index, so a unit none of whose input lanes changed since it
+ * last ran still holds its exact output.
  */
 
 #ifndef GLIFS_SIM_PACKED_EVAL_HH
@@ -39,10 +41,23 @@ class PackedEval
 
     const CompiledNetlist &program() const { return cn; }
 
-    /** Rebuild every net's slot from @p sigs (planes become valid). */
-    void importState(const SignalState &sigs);
+    /**
+     * Rebuild the source words from @p sigs. The comb words keep the
+     * last values stored into them.
+     */
+    void importSources(const SignalState &sigs);
 
-    /** Overwrite one net's slot (planes must be coherent). */
+    /** Write every comb net's slot into @p sigs. */
+    void exportComb(SignalState &sigs) const;
+
+    /** True for source nets (flip-flop Q, inputs, constants). */
+    bool
+    isSource(NetId net) const
+    {
+        return (cn.slotOfNet[net] >> 6) < cn.sourceWords;
+    }
+
+    /** Overwrite one net's slot and mark the readers of its lane. */
     void
     setNetPlanes(NetId net, const Signal &s)
     {
@@ -52,6 +67,7 @@ class PackedEval
         vlo[w] = (vlo[w] & ~bit) | (s.value != Tern::One ? bit : 0);
         vhi[w] = (vhi[w] & ~bit) | (s.value != Tern::Zero ? bit : 0);
         vtnt[w] = (vtnt[w] & ~bit) | (s.taint ? bit : 0);
+        markReaders(static_cast<uint32_t>(w), bit);
     }
 
     /** Decode one net's slot back into a Signal. */
@@ -59,15 +75,15 @@ class PackedEval
     signalAt(NetId net) const
     {
         const uint32_t slot = cn.slotOfNet[net];
-        const unsigned lane = slot & 63;
-        const bool lo = (vlo[slot >> 6] >> lane) & 1;
-        const bool hi = (vhi[slot >> 6] >> lane) & 1;
-        return {lo ? (hi ? Tern::X : Tern::Zero) : Tern::One,
-                static_cast<bool>((vtnt[slot >> 6] >> lane) & 1)};
+        const uint32_t w = slot >> 6;
+        return packed::getLane({vlo[w], vhi[w], vtnt[w]}, slot & 63);
     }
 
+    /** acc[w] |= taint plane word w, for every plane word. */
+    void orTaint(std::vector<uint64_t> &acc) const;
+
     // --- dirty tracking ----------------------------------------------
-    /** Mark one CSR target: a unit, or units.size()+i for dff word i. */
+    /** Mark one index target: a unit, or units.size()+i for dff word i. */
     void
     markTarget(uint32_t t)
     {
@@ -78,11 +94,14 @@ class PackedEval
                 1ULL << ((t - numUnits) & 63);
     }
 
+    /** Mark every target reading a lane of @p lanes in word @p w. */
     void
-    markConsumersDirty(NetId net)
+    markReaders(uint32_t w, uint64_t lanes)
     {
-        for (uint32_t t : cn.consumersOf(net))
-            markTarget(t);
+        for (const WordReader &r : cn.readersOf(w)) {
+            if (r.lanes & lanes)
+                markTarget(r.target);
+        }
     }
 
     /** Mark the unit driving @p net, if any (override recompute). */
@@ -96,7 +115,7 @@ class PackedEval
 
     void markMemUnitDirty(MemId m) { markTarget(cn.unitOfMem[m]); }
 
-    void clearAllDirty();
+    void clearUnitDirty();
 
     /** Arm every dff word for the next edge (untracked full settle). */
     void
@@ -112,11 +131,13 @@ class PackedEval
     // --- execution ---------------------------------------------------
     /**
      * Gather, apply the kernel and store one batch's output word.
-     * Output nets whose signal changed are appended to changedNets;
-     * the return value is the number of lanes whose *value* toggled
-     * (for the energy model's per-kind toggle counters).
+     * Returns the number of lanes whose *value* toggled (for the
+     * energy model's per-kind toggle counters).
      */
     size_t runBatch(uint32_t batch);
+
+    /** Store a memory read port's data word (lanes 0..width-1). */
+    void storeMemRead(MemId m, unsigned width, const TernWord &data);
 
     /**
      * Stage dff word @p i's next state from the current (settled)
@@ -126,14 +147,11 @@ class PackedEval
     void computeDffWord(uint32_t i);
 
     /**
-     * Write dff word @p i's staged next state into its Q word.
-     * Changed Q nets are appended to changedNets; returns the number
-     * of value toggles.
+     * Write dff word @p i's staged next state into its Q word and
+     * each changed Q net into @p sigs; returns the number of value
+     * toggles.
      */
-    size_t commitDffWord(uint32_t i);
-
-    /** Change report of the last runBatch()/commitDffWord() calls. */
-    std::vector<NetId> changedNets;
+    size_t commitDffWord(uint32_t i, SignalState &sigs);
 
   private:
     CompiledNetlist cn;
@@ -152,13 +170,19 @@ class PackedEval
 
     packed::Planes gather(const OpRange &r) const;
 
+    /** Lanes a word store changed: in any plane / in value only. */
+    struct StoreDiff
+    {
+        uint64_t changed = 0;
+        uint64_t toggled = 0;
+    };
+
     /**
-     * Replace the bits of word @p w under @p mask with @p out, with
-     * change detection: changed nets are appended to changedNets.
-     * Returns the value-toggle count.
+     * Replace the bits of word @p w under @p mask with @p out and mark
+     * the readers of every changed lane.
      */
-    size_t storeWord(uint32_t w, uint64_t mask,
-                     const packed::Planes &out);
+    StoreDiff storeWord(uint32_t w, uint64_t mask,
+                        const packed::Planes &out);
 };
 
 } // namespace glifs

@@ -4,6 +4,11 @@
  * net, and the cells of every memory block in TernPlanes -- the
  * known/value/taint planes SymState uses, with cell = word * width +
  * bit -- so memory ports and state snapshots move whole words.
+ *
+ * ReferenceSim keeps every net here. The Simulator keeps only the
+ * architectural state here -- flip-flops, inputs, constants and
+ * memories, what a SymState captures -- and the comb nets in its
+ * packed planes; Simulator::state() decodes them in on access.
  */
 
 #ifndef GLIFS_SIM_SIGNAL_STATE_HH
@@ -39,9 +44,6 @@ class SignalState
 
     size_t numNets() const { return netSignals.size(); }
     size_t numMems() const { return memories.size(); }
-
-    /** Raw per-net signal array (fast whole-state scans). */
-    const std::vector<Signal> &rawNets() const { return netSignals; }
 
   private:
     std::vector<Signal> netSignals;

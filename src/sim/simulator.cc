@@ -5,7 +5,6 @@
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "netlist/levelize.hh"
-#include "sim/packed_eval.hh"
 
 namespace glifs
 {
@@ -76,19 +75,34 @@ Simulator::Simulator(Simulator &&) noexcept = default;
 Simulator::~Simulator() = default;
 
 void
-Simulator::setNet(NetId net, const Signal &s)
+Simulator::syncCombNets() const
 {
-    if (sigs.net(net) == s)
+    if (combSynced)
         return;
-    sigs.setNet(net, s);
-    if (allDirty)
-        return;  // the next settle re-imports every net
-    // A driven net must be recomputed from its driver at the next
-    // settle, so the override behaves exactly like under a full sweep
-    // (visible to the clock edge, gone after the next evalComb()).
-    packed->setNetPlanes(net, s);
-    packed->markConsumersDirty(net);
-    packed->markProducerDirty(net);
+    packed->exportComb(sigs);
+    combSynced = true;
+}
+
+void
+Simulator::changeNet(NetId net, const Signal &s)
+{
+    PackedEval &pe = *packed;
+    if (pe.isSource(net)) {
+        sigs.setNet(net, s);
+        if (allDirty)
+            return;  // the next settle or edge re-imports every source
+        pe.setNetPlanes(net, s);
+        return;
+    }
+    // A comb net lives only in the planes, also across markAllDirty().
+    // It must be recomputed from its driver at the next settle, so the
+    // override behaves exactly like under a full sweep (visible to the
+    // clock edge, gone after the next evalComb()).
+    if (pe.signalAt(net) == s)
+        return;
+    pe.setNetPlanes(net, s);
+    pe.markProducerDirty(net);
+    combSynced = false;
 }
 
 void
@@ -100,6 +114,30 @@ Simulator::setMemWord(MemId mem, size_t word, uint64_t value, bool taint)
 }
 
 void
+Simulator::setMemCells(MemId mem, const TernPlanes &src, size_t src_first)
+{
+    TernPlanes &cells = sigs.memCells(mem);
+    if (cells.copyRange(0, src, src_first, cells.size()) && !allDirty)
+        packed->markMemUnitDirty(mem);
+}
+
+void
+Simulator::slotsToNets(const std::vector<uint64_t> &acc,
+                       BitPlane &nets) const
+{
+    const std::vector<NetId> &slotNet = packed->program().slotNet;
+    std::vector<uint64_t> &out = nets.words();
+    for (size_t w = 0; w < acc.size(); ++w) {
+        for (uint64_t lanes = acc[w]; lanes; lanes &= lanes - 1) {
+            const NetId n = slotNet[(w << 6) + static_cast<size_t>(
+                                                   std::countr_zero(lanes))];
+            if (n != kNoNet)
+                out[n >> 6] |= 1ULL << (n & 63);
+        }
+    }
+}
+
+void
 Simulator::stageMemWrites()
 {
     activeWrites.clear();
@@ -108,73 +146,54 @@ Simulator::stageMemWrites()
         if (!decl.writable)
             continue;
         PendingWrite &w = writeScratch[m];
-        w.we = sigs.net(decl.writeEn);
+        w.we = netValue(decl.writeEn);
         if (w.we.known() && !w.we.asBool() && !w.we.taint)
             continue;
         addrScratch.resize(decl.writeAddr.size());
         for (size_t i = 0; i < addrScratch.size(); ++i)
-            addrScratch[i] = sigs.net(decl.writeAddr[i]);
+            addrScratch[i] = netValue(decl.writeAddr[i]);
         w.addr = decodeMemAddr(addrScratch, decl.words,
                                decl.maxUnknownAddrBits);
         for (unsigned b = 0; b < decl.width; ++b)
-            w.data.set(b, sigs.net(decl.writeData[b]));
+            w.data.set(b, netValue(decl.writeData[b]));
         activeWrites.push_back(m);
     }
 }
 
 void
-Simulator::runUnit(uint32_t unit, bool track, size_t &evaluated,
-                   size_t &wordEvals)
+Simulator::runUnit(uint32_t unit, size_t &evaluated, size_t &wordEvals)
 {
     PackedEval &pe = *packed;
     const EvalUnit &u = pe.program().units[unit];
     if (u.kind == EvalUnit::Kind::MemRead) {
         ++simStats().memReadEvals;
-        evalMemRead(u.index, track);
+        evalMemRead(u.index);
         ++evaluated;
         return;
     }
     const PackedBatch &pb = pe.program().batches[u.index];
-    pe.changedNets.clear();
     const size_t tog = pe.runBatch(u.index);
     ++wordEvals;
     evaluated += pb.lanes;
     if (togglesOn)
         toggles.combToggles[static_cast<size_t>(pb.kind)] += tog;
-    // Mirror into the scalar state (the readable source of truth) and
-    // propagate through the compiled consumer index.
-    for (NetId n : pe.changedNets) {
-        sigs.setNet(n, pe.signalAt(n));
-        if (track)
-            pe.markConsumersDirty(n);
-    }
 }
 
 void
-Simulator::evalMemRead(MemId m, bool track)
+Simulator::evalMemRead(MemId m)
 {
-    PackedEval &pe = *packed;
     const MemoryDecl &decl = nl.memory(m);
     addrScratch.resize(decl.readAddr.size());
     for (size_t i = 0; i < addrScratch.size(); ++i)
-        addrScratch[i] = sigs.net(decl.readAddr[i]);
+        addrScratch[i] = netValue(decl.readAddr[i]);
 
     MemAddr ma =
         decodeMemAddr(addrScratch, decl.words, decl.maxUnknownAddrBits);
     if (!decl.addrTaintsRead)
         ma.tainted = false;
-    const TernWord data =
-        memoryRead(sigs.memCells(m), decl.width, decl.words, ma);
-    for (unsigned b = 0; b < decl.width; ++b) {
-        const NetId rd = decl.readData[b];
-        const Signal s = data.at(b);
-        if (sigs.net(rd) == s)
-            continue;
-        sigs.setNet(rd, s);
-        pe.setNetPlanes(rd, s);
-        if (track)
-            pe.markConsumersDirty(rd);
-    }
+    packed->storeMemRead(
+        m, decl.width,
+        memoryRead(sigs.memCells(m), decl.width, decl.words, ma));
 }
 
 void
@@ -185,14 +204,16 @@ Simulator::evalComb()
     PackedEval &pe = *packed;
     size_t evaluated = 0;  // gate lanes + mem read ports actually run
     size_t wordEvals = 0;
+    combSynced = false;
     if (allDirty) {
-        pe.importState(sigs);
-        pe.clearAllDirty();
+        pe.importSources(sigs);
         const size_t numUnits = pe.program().units.size();
         for (uint32_t u = 0; u < numUnits; ++u)
-            runUnit(u, /*track=*/false, evaluated, wordEvals);
-        // The settle recomputed every comb net without tracking, so
-        // the next edge must consider every flip-flop.
+            runUnit(u, evaluated, wordEvals);
+        // Every unit ran, so drop the marks the pass left behind. The
+        // source words changed without marks, so the next edge must
+        // consider every flip-flop.
+        pe.clearUnitDirty();
         pe.markAllDffDirty();
         allDirty = false;
     } else {
@@ -206,8 +227,8 @@ Simulator::evalComb()
                 const unsigned b =
                     static_cast<unsigned>(std::countr_zero(bits));
                 ud[w] &= ~(1ULL << b);
-                runUnit(static_cast<uint32_t>((w << 6) + b),
-                        /*track=*/true, evaluated, wordEvals);
+                runUnit(static_cast<uint32_t>((w << 6) + b), evaluated,
+                        wordEvals);
             }
         }
     }
@@ -226,14 +247,15 @@ void
 Simulator::clockEdge()
 {
     PackedEval &pe = *packed;
-    // An edge may follow markAllDirty() without a settle: latch from a
-    // fresh import, and leave the dirty set invalid for the next one.
+    // An edge may follow markAllDirty() without a settle: latch every
+    // flip-flop from freshly imported sources and the last settled
+    // comb values, and leave the dirty set invalid for the next settle.
     const bool track = !allDirty;
     if (!track)
-        pe.importState(sigs);
+        pe.importSources(sigs);
 
     // Select the flip-flop words to latch. A word none of whose
-    // D/RST/EN/Q nets changed since its last computation latches its
+    // D/RST/EN/Q lanes changed since its last computation latches its
     // own held value again -- skipping it is exact, not approximate.
     dffRunScratch.clear();
     std::vector<uint64_t> &dd = pe.dffDirtyWords();
@@ -260,20 +282,15 @@ Simulator::clockEdge()
         pe.computeDffWord(i);
     stageMemWrites();
 
-    pe.changedNets.clear();
+    // Each commit writes its changed Q nets into sigs and marks their
+    // readers: the units of the next settle, and (through the Q
+    // entries of the reader index) the dff words that must latch
+    // again at the next edge.
     size_t tog = 0;
     for (uint32_t i : dffRunScratch)
-        tog += pe.commitDffWord(i);
+        tog += pe.commitDffWord(i, sigs);
     if (togglesOn)
         toggles.dffToggles += tog;
-    // Mirror changed Q nets; their consumers seed the next settle and
-    // (through the Q entries of the consumer index) re-arm the dff
-    // words that must latch again next edge.
-    for (NetId n : pe.changedNets) {
-        sigs.setNet(n, pe.signalAt(n));
-        if (track)
-            pe.markConsumersDirty(n);
-    }
 
     SimStats &st = simStats();
     ++st.clockEdges;

@@ -29,13 +29,12 @@
 
 #include "netlist/memory_array.hh"
 #include "netlist/netlist.hh"
+#include "sim/packed_eval.hh"
 #include "sim/signal_state.hh"
 #include "sim/toggle_stats.hh"
 
 namespace glifs
 {
-
-class PackedEval;
 
 /**
  * Gate-level cycle simulator. The netlist must outlive the simulator.
@@ -48,8 +47,27 @@ class Simulator
     ~Simulator();
 
     const Netlist &netlist() const { return nl; }
-    SignalState &state() { return sigs; }
-    const SignalState &state() const { return sigs; }
+
+    /**
+     * The whole simulation state, every net included. The comb nets
+     * live only in the planes; the first access after they changed
+     * decodes them into the returned SignalState, so this is for
+     * tests, tools and bulk writers. The analysis reads through
+     * netValue() and memCells(), which decode nothing.
+     */
+    SignalState &
+    state()
+    {
+        syncCombNets();
+        return sigs;
+    }
+
+    const SignalState &
+    state() const
+    {
+        syncCombNets();
+        return sigs;
+    }
 
     /** Drive a primary input (or any undriven net). */
     void setInput(NetId net, const Signal &s) { setNet(net, s); }
@@ -59,30 +77,77 @@ class Simulator
      * the net dirty; if a compiled unit drives the net, that unit is
      * marked too, so the override is visible to the next clockEdge()
      * but cannot outlive the next evalComb() (full-sweep parity: the
-     * sweep recomputes every driven net each settle).
+     * sweep recomputes every driven net each settle). A write of the
+     * value the net already holds is a no-op.
      */
-    void setNet(NetId net, const Signal &s);
+    void
+    setNet(NetId net, const Signal &s)
+    {
+        if (packed->isSource(net) && sigs.net(net) == s)
+            return;  // the common case: an input driven again
+        changeNet(net, s);
+    }
 
     /**
      * Store a concrete word into a memory block, keeping the read
      * port's dirty tracking consistent. External writers must use this
-     * (or markAllDirty()) instead of mutating state().memCells()
-     * behind the scheduler's back.
+     * or setMemCells() (or markAllDirty()) instead of mutating
+     * state().memCells() behind the scheduler's back.
      */
     void setMemWord(MemId mem, size_t word, uint64_t value,
                     bool taint = false);
 
     /**
-     * Invalidate the planes and the whole dirty set: the next
-     * evalComb() re-imports the SignalState and runs every unit.
-     * Required after any bulk mutation of the SignalState that
-     * bypasses the tracked setters (symbolic state restore, program
-     * load, *-logic saturation).
+     * Tracked bulk write: memory @p mem's cells := cells [src_first,
+     * +size) of @p src. The read port is marked dirty only if a cell
+     * changed.
      */
-    void markAllDirty() { allDirty = true; }
+    void setMemCells(MemId mem, const TernPlanes &src, size_t src_first);
 
-    /** Current value of any net (after evalComb() for comb nets). */
-    Signal netValue(NetId net) const { return sigs.net(net); }
+    /** A memory's cells (read-only; no decode). */
+    const TernPlanes &memCells(MemId mem) const
+    {
+        return sigs.memCells(mem);
+    }
+
+    /**
+     * Invalidate the dirty set after a bulk mutation of the state that
+     * bypassed the tracked setters (program load, *-logic saturation):
+     * the next evalComb() or clockEdge() re-imports the source nets
+     * from the SignalState, and the next evalComb() runs every unit.
+     * The planes keep the last settled comb values, so an edge right
+     * after the invalidation latches what it would have before it.
+     */
+    void
+    markAllDirty()
+    {
+        allDirty = true;
+        combSynced = false;
+    }
+
+    /**
+     * Current value of any net (after evalComb() for comb nets): a
+     * source net from the SignalState, a comb net from the planes.
+     */
+    Signal
+    netValue(NetId net) const
+    {
+        return packed->isSource(net) ? sigs.net(net)
+                                     : packed->signalAt(net);
+    }
+
+    /** Words of the plane slot space (see orTaint()). */
+    size_t planeWords() const { return packed->program().planeWords; }
+
+    /**
+     * acc[w] |= the taint of every net in plane word w, the nets in
+     * the compiler's slot order; @p acc has planeWords() words.
+     */
+    void orTaint(std::vector<uint64_t> &acc) const { packed->orTaint(acc); }
+
+    /** Set in the net-indexed @p nets every net whose slot @p acc has. */
+    void slotsToNets(const std::vector<uint64_t> &acc,
+                     BitPlane &nets) const;
 
     /**
      * Settle all combinational logic and memory read ports for the
@@ -119,7 +184,13 @@ class Simulator
   private:
     const Netlist &nl;
     size_t scheduleSize = 0;  ///< gates + read ports a sweep evaluates
-    SignalState sigs;
+    /**
+     * The architectural state: flip-flops, inputs, constants and
+     * memories. Comb-net entries are written only by syncCombNets().
+     */
+    mutable SignalState sigs;
+    /** sigs' comb-net entries equal the planes. */
+    mutable bool combSynced = false;
     uint64_t cycleCount = 0;
     bool togglesOn = false;
     ToggleStats toggles;
@@ -127,8 +198,9 @@ class Simulator
     /** Compiled program, planes and unit/dff-word dirty sets. */
     std::unique_ptr<PackedEval> packed;
     /**
-     * The planes and dirty sets do not reflect sigs: the next settle
-     * re-imports the planes and runs every unit (markAllDirty()).
+     * The source words of the planes and the dirty sets do not reflect
+     * sigs: the next settle or edge re-imports the source nets, and the
+     * next settle runs every unit (markAllDirty()).
      */
     bool allDirty = true;
 
@@ -146,11 +218,14 @@ class Simulator
     std::vector<MemId> activeWrites;         ///< memories written this edge
     std::vector<uint32_t> dffRunScratch;     ///< dff words latching this edge
 
-    /** Run one compiled unit; mirrors changed nets into sigs. */
-    void runUnit(uint32_t unit, bool track, size_t &evaluated,
-                 size_t &wordEvals);
-    /** Memory read port with plane mirroring + unit marking. */
-    void evalMemRead(MemId m, bool track);
+    /** Decode the comb nets into sigs, if they changed since. */
+    void syncCombNets() const;
+    /** setNet() past its no-op check. */
+    void changeNet(NetId net, const Signal &s);
+    /** Run one compiled unit. */
+    void runUnit(uint32_t unit, size_t &evaluated, size_t &wordEvals);
+    /** Evaluate one memory read port into its plane word. */
+    void evalMemRead(MemId m);
     /** Stage every enabled memory write port for the edge. */
     void stageMemWrites();
 };

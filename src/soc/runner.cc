@@ -69,7 +69,7 @@ SocRunner::halted() const
     const Bus &st = socRef.probes().stateQ;
     uint16_t v = 0;
     for (size_t i = 0; i < st.size(); ++i) {
-        Signal s = sim.state().net(st[i]);
+        Signal s = sim.netValue(st[i]);
         if (!s.known())
             return false;
         if (s.asBool())
@@ -123,7 +123,7 @@ SocRunner::portOut(unsigned port) const
     uint16_t v = 0;
     const Bus &bus = socRef.probes().portOut[port - 1];
     for (unsigned b = 0; b < 16; ++b) {
-        Signal s = sim.state().net(bus[b]);
+        Signal s = sim.netValue(bus[b]);
         if (s.known() && s.asBool())
             v |= static_cast<uint16_t>(1u << b);
     }

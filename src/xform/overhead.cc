@@ -47,8 +47,8 @@ measureRun(const Soc &soc, const ProgramImage &image,
                 break;
         }
         if (done && cfg.runToPorAfterDone) {
-            Signal por = runner.simulator().state().net(
-                soc.probes().porNet);
+            Signal por =
+                runner.simulator().netValue(soc.probes().porNet);
             if (por.known() && por.asBool())
                 break;
         }

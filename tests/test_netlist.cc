@@ -553,6 +553,56 @@ TEST(MemoryPlanesDifferential, BitRangesLeaveNeighboursAlone)
             }
         }
     }
+
+    // copyRange between any pair of bit offsets, over lengths that
+    // straddle plane words: the range takes the source cells in all
+    // three planes, every other cell keeps its value, and the flag
+    // reports exactly whether a destination cell changed.
+    auto randomPlanes = [&rng](size_t cells) {
+        BitPlane k(cells), v(cells), t(cells);
+        for (size_t w = 0; w < k.words().size(); ++w) {
+            k.words()[w] = rng();
+            v.words()[w] = rng();
+            t.words()[w] = rng();
+        }
+        return TernPlanes(BitPlane(k), BitPlane(v), BitPlane(t));
+    };
+    for (size_t first : {0u, 1u, 49u, 63u, 64u}) {
+        for (size_t src_first : {0u, 1u, 49u, 63u, 64u}) {
+            for (size_t n : {1u, 15u, 64u, 65u, 130u, 200u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << first << " <- " << src_first << "+" << n);
+                TernPlanes dst = randomPlanes(320);
+                const TernPlanes src = randomPlanes(300);
+                const TernPlanes before = dst;
+                const bool changed = dst.copyRange(first, src, src_first, n);
+                EXPECT_EQ(changed, !(dst == before));
+                for (size_t i = 0; i < dst.size(); ++i) {
+                    const bool inside = i >= first && i < first + n;
+                    const TernWord got = dst.word(i, 1);
+                    const TernWord want = inside
+                                              ? src.word(src_first + i - first, 1)
+                                              : before.word(i, 1);
+                    ASSERT_TRUE(got.known == want.known &&
+                                got.value == want.value &&
+                                got.taint == want.taint)
+                        << "cell " << i;
+                }
+
+                // Copying the same range again changes nothing.
+                EXPECT_FALSE(dst.copyRange(first, src, src_first, n));
+
+                // A cell differing only in taint counts as a change.
+                TernPlanes taintOnly = dst;
+                const size_t cell = first + n / 2;
+                TernWord w = taintOnly.word(cell, 1);
+                w.taint ^= 1;
+                taintOnly.setWord(cell, 1, w);
+                EXPECT_TRUE(taintOnly.copyRange(first, src, src_first, n));
+                EXPECT_TRUE(taintOnly == dst);
+            }
+        }
+    }
 }
 
 } // namespace

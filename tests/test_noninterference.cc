@@ -60,8 +60,8 @@ class NonInterference : public ::testing::TestWithParam<std::string>
                     break;
             }
             if (done && watchdog) {
-                Signal por = runner.simulator().state().net(
-                    soc->probes().porNet);
+                Signal por =
+                    runner.simulator().netValue(soc->probes().porNet);
                 if (por.known() && por.asBool())
                     break;
             }

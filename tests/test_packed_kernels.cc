@@ -24,6 +24,7 @@
 #include "sim/packed_eval.hh"
 #include "sim/packed_kernels.hh"
 #include "soc/soc.hh"
+#include "reader_index_check.hh"
 
 namespace glifs
 {
@@ -208,15 +209,16 @@ TEST(CompiledNetlist, SocProgramInvariantsHold)
     }
     EXPECT_EQ(lanes, cn.combLanes);
 
-    // Every producer unit strictly precedes all of its consuming
-    // units, so the ascending dirty-unit drain settles in one pass.
+    // The reader index marks exactly the lanes each target reads, and
+    // every producer unit strictly precedes all of its consuming units,
+    // so the ascending dirty-unit drain settles in one pass.
+    EXPECT_TRUE(readerIndexMatchesNetlist(nl, cn));
+
+    // Source nets fill the first words; every later word is a unit's.
     for (NetId n = 0; n < nl.numNets(); ++n) {
-        const int32_t p = cn.producerUnit[n];
-        for (uint32_t t : cn.consumersOf(n)) {
-            if (t < cn.units.size() && p >= 0) {
-                EXPECT_GT(t, static_cast<uint32_t>(p)) << "net " << n;
-            }
-        }
+        EXPECT_EQ(cn.producerUnit[n] < 0,
+                  (cn.slotOfNet[n] >> 6) < cn.sourceWords)
+            << "net " << n;
     }
 
     // Dff words cover every flip-flop exactly once.
@@ -238,27 +240,32 @@ TEST(PackedEvalState, ImportRoundTripsEverySignal)
     const std::vector<EvalStep> order = levelize(nl);
     PackedEval pe(nl, order);
 
+    // Point writes land in the planes; importSources then replaces
+    // every source net from the SignalState and leaves the comb nets,
+    // which live only in the planes, as they were.
     SignalState sigs(nl);
+    SignalState comb(nl);
     std::mt19937 rng(99);
+    const Tern v[] = {Tern::Zero, Tern::One, Tern::X};
     for (NetId n = 0; n < nl.numNets(); ++n) {
-        const Tern v[] = {Tern::Zero, Tern::One, Tern::X};
         sigs.setNet(n, Signal{v[rng() % 3], (rng() & 4) != 0});
-    }
-    pe.importState(sigs);
-    for (NetId n = 0; n < nl.numNets(); ++n)
-        ASSERT_EQ(pe.signalAt(n), sigs.net(n)) << "net " << n;
-
-    // Point writes after the import keep the mirror exact.
-    for (int i = 0; i < 1000; ++i) {
-        const NetId n = rng() % nl.numNets();
-        const Tern v[] = {Tern::Zero, Tern::One, Tern::X};
         const Signal s{v[rng() % 3], (rng() & 4) != 0};
-        sigs.setNet(n, s);
+        comb.setNet(n, s);
         pe.setNetPlanes(n, s);
         ASSERT_EQ(pe.signalAt(n), s);
     }
+    pe.importSources(sigs);
+    for (NetId n = 0; n < nl.numNets(); ++n) {
+        ASSERT_EQ(pe.signalAt(n),
+                  pe.isSource(n) ? sigs.net(n) : comb.net(n))
+            << "net " << n;
+    }
+
+    // exportComb writes back exactly the comb nets.
+    SignalState out = sigs;
+    pe.exportComb(out);
     for (NetId n = 0; n < nl.numNets(); ++n)
-        ASSERT_EQ(pe.signalAt(n), sigs.net(n)) << "net " << n;
+        ASSERT_EQ(out.net(n), pe.signalAt(n)) << "net " << n;
 }
 
 } // namespace

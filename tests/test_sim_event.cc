@@ -11,23 +11,33 @@
  * (including mid-cycle net overrides, external memory stores and
  * dirty-set invalidation), on the IoT430 SoC run concretely to HALT and
  * stepped symbolically in lockstep, and across PathSim::restore, the
- * bulk state write every segment of the analysis starts with.
+ * tracked state write every segment of the analysis starts with.
+ * Comb nets live only in the simulator's planes, so the comparisons
+ * read them through netValue(), and separately check that state()
+ * decodes the same values. It also pins the compiled reader index to
+ * the netlists and a segment's taint summary to a per-net scan.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 
 #include "assembler/assembler.hh"
 #include "base/stats.hh"
 #include "ift/path_sim.hh"
+#include "ift/state_table.hh"
 #include "ift/symstate.hh"
+#include "netlist/compile.hh"
+#include "netlist/levelize.hh"
 #include "netlist/netlist.hh"
 #include "sim/reference_sim.hh"
 #include "sim/simulator.hh"
 #include "soc/runner.hh"
 #include "soc/soc.hh"
 #include "workloads/workload.hh"
+#include "reader_index_check.hh"
 
 namespace glifs
 {
@@ -158,20 +168,29 @@ buildRandomDesign(std::mt19937 &rng)
     return d;
 }
 
+/**
+ * Every net of @p sim, read through netValue(), and every memory cell
+ * against the reference state @p ref.
+ */
 ::testing::AssertionResult
-statesEqual(const Netlist &nl, const SignalState &a, const SignalState &b)
+statesEqual(const Simulator &sim, const SignalState &ref)
 {
+    const Netlist &nl = sim.netlist();
     for (NetId n = 0; n < nl.numNets(); ++n) {
-        if (!(a.net(n) == b.net(n))) {
+        if (!(sim.netValue(n) == ref.net(n))) {
             return ::testing::AssertionFailure()
                    << "net " << n << " (" << nl.net(n).name
-                   << "): simulator " << a.net(n).str()
-                   << " vs reference " << b.net(n).str();
+                   << "): simulator " << sim.netValue(n).str()
+                   << " vs reference " << ref.net(n).str();
         }
     }
     for (MemId m = 0; m < nl.numMemories(); ++m) {
-        const TernPlanes &ca = a.memCells(m);
-        const TernPlanes &cb = b.memCells(m);
+        const TernPlanes &ca = sim.memCells(m);
+        const TernPlanes &cb = ref.memCells(m);
+        // A value bit left set under an X is invisible to get() but
+        // reaches SymState ==, explore digests and checkpoint bytes.
+        if (ca == cb)
+            continue;
         for (size_t i = 0; i < ca.size(); ++i) {
             if (!(ca.get(i) == cb.get(i))) {
                 return ::testing::AssertionFailure()
@@ -180,12 +199,22 @@ statesEqual(const Netlist &nl, const SignalState &a, const SignalState &b)
                        << cb.get(i).str();
             }
         }
-        // A value bit left set under an X is invisible to get() but
-        // reaches SymState ==, explore digests and checkpoint bytes.
-        if (!(ca == cb)) {
+        return ::testing::AssertionFailure()
+               << "memory " << nl.memory(m).name << ": planes differ";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Simulator::state() exposes exactly what netValue() reads. */
+::testing::AssertionResult
+stateMatchesNetValues(const Simulator &sim)
+{
+    const SignalState &st = sim.state();
+    for (NetId n = 0; n < sim.netlist().numNets(); ++n) {
+        if (!(st.net(n) == sim.netValue(n))) {
             return ::testing::AssertionFailure()
-                   << "memory " << nl.memory(m).name
-                   << ": planes differ";
+                   << "net " << n << ": state() " << st.net(n).str()
+                   << " vs netValue " << sim.netValue(n).str();
         }
     }
     return ::testing::AssertionSuccess();
@@ -254,7 +283,9 @@ runDifferential(uint32_t seed, int cycles)
 
         sim.evalComb();
         ref.evalComb();
-        ASSERT_TRUE(statesEqual(d.nl, sim.state(), ref.state()))
+        ASSERT_TRUE(statesEqual(sim, ref.state()))
+            << "after evalComb, cycle " << c << ", seed " << seed;
+        ASSERT_TRUE(stateMatchesNetValues(sim))
             << "after evalComb, cycle " << c << ", seed " << seed;
         ASSERT_TRUE(togglesEqual(sim.toggleStats(), ref.toggleStats()))
             << "after evalComb, cycle " << c << ", seed " << seed;
@@ -272,7 +303,9 @@ runDifferential(uint32_t seed, int cycles)
 
         sim.clockEdge();
         ref.clockEdge();
-        ASSERT_TRUE(statesEqual(d.nl, sim.state(), ref.state()))
+        ASSERT_TRUE(statesEqual(sim, ref.state()))
+            << "after clockEdge, cycle " << c << ", seed " << seed;
+        ASSERT_TRUE(stateMatchesNetValues(sim))
             << "after clockEdge, cycle " << c << ", seed " << seed;
         ASSERT_TRUE(togglesEqual(sim.toggleStats(), ref.toggleStats()))
             << "after clockEdge, cycle " << c << ", seed " << seed;
@@ -283,6 +316,16 @@ TEST(SimEventFuzz, RandomNetlistsMatchFullSweep)
 {
     for (uint32_t seed = 1; seed <= 20; ++seed)
         runDifferential(seed, 150);
+}
+
+TEST(SimEventFuzz, ReaderIndexMatchesRandomNetlists)
+{
+    for (uint32_t seed = 1; seed <= 20; ++seed) {
+        std::mt19937 rng(seed);
+        const RandomDesign d = buildRandomDesign(rng);
+        const CompiledNetlist cn = compileNetlist(d.nl, levelize(d.nl));
+        EXPECT_TRUE(readerIndexMatchesNetlist(d.nl, cn)) << "seed " << seed;
+    }
 }
 
 TEST(SimEventFuzz, SkippedEvalsAreCountedAndBounded)
@@ -386,7 +429,7 @@ TEST_F(SimEventSoc, ConcreteRunMatchesFullSweep)
         EXPECT_EQ(runner.reg(reg), soc->regValue(ref.state(), reg))
             << "r" << reg;
     EXPECT_EQ(runner.ram(0x0900), soc->ramValue(ref.state(), 0x0900));
-    ASSERT_TRUE(statesEqual(nl, runner.simulator().state(), ref.state()));
+    ASSERT_TRUE(statesEqual(runner.simulator(), ref.state()));
     // The energy model (xform/overhead.cc) reads these counters.
     EXPECT_TRUE(togglesEqual(runner.simulator().toggleStats(),
                              ref.toggleStats()));
@@ -422,14 +465,14 @@ TEST_F(SimEventSoc, SymbolicLockstepSymStatesMatch)
         ref.step();
         if (c % 50 != 0)
             continue;
-        ss.capture(layout, sim.state());
+        ss.capture(layout, sim);
         sr.capture(layout, ref.state());
         for (size_t i = 0; i < layout.slots(); ++i) {
             ASSERT_EQ(ss.slot(i), sr.slot(i))
                 << "slot " << i << " at cycle " << c;
         }
     }
-    ASSERT_TRUE(statesEqual(nl, sim.state(), ref.state()));
+    ASSERT_TRUE(statesEqual(sim, ref.state()));
 }
 
 TEST_F(SimEventSoc, PathSimRestoreMatchesReference)
@@ -460,14 +503,235 @@ TEST_F(SimEventSoc, PathSimRestoreMatchesReference)
         ps.setInputs(false);
         ps.sim.evalComb();
         ref.evalComb();
-        ASSERT_TRUE(statesEqual(soc->netlist(), ps.sim.state(),
-                                ref.state()))
+        ASSERT_TRUE(statesEqual(ps.sim, ref.state()))
             << "after evalComb, cycle " << c;
         ps.sim.clockEdge();
         ref.clockEdge();
-        ASSERT_TRUE(statesEqual(soc->netlist(), ps.sim.state(),
-                                ref.state()))
+        ASSERT_TRUE(statesEqual(ps.sim, ref.state()))
             << "after clockEdge, cycle " << c;
+    }
+}
+
+/** PathSim::setInputs(false) on the reference: ports X, taint per policy. */
+void
+driveSymbolic(const Soc &soc, const Policy &policy, ReferenceSim &ref)
+{
+    const SocProbes &prb = soc.probes();
+    ref.setInput(prb.extReset, sigZero());
+    for (unsigned p = 0; p < 4; ++p) {
+        for (unsigned b = 0; b < 16; ++b) {
+            ref.setInput(prb.portIn[p][b],
+                         Signal{Tern::X, policy.taintedInPort[p]});
+        }
+    }
+}
+
+/**
+ * Up to @p limit states from a small Algorithm-1 run of @p ps (state
+ * table merges included, since merged states are what reach the
+ * unknown watchdog expiry): every segment start and the first two
+ * POR-fired branches of each segment, which are explored too. An
+ * unknown PC pushes every candidate. @p fired counts the POR-fired
+ * states recorded.
+ */
+std::vector<SymState>
+recordStates(PathSim &ps, size_t limit, size_t &fired)
+{
+    ps.setInputs(true);
+    ps.sim.step();
+    std::vector<SymState> todo(1, SymState(ps.layout));
+    todo.back().capture(ps.layout, ps.sim);
+    StateTable table;
+    std::vector<SymState> states;
+    fired = 0;
+    while (!todo.empty() && states.size() < limit) {
+        SymState start = std::move(todo.back());
+        todo.pop_back();
+        states.push_back(start);
+        SegmentResult r = ps.runSegment(start);
+        for (size_t f = 0; f < r.porForks.size() && f < 2; ++f) {
+            states.push_back(r.porForks[f].fired);
+            ++fired;
+        }
+        for (SegmentPorFork &f : r.porForks)
+            todo.push_back(std::move(f.fired));
+        if (r.halted)
+            continue;
+        SymState end = std::move(r.end);
+        const uint32_t key =
+            (static_cast<uint32_t>(r.endInstr) << 4) | r.endFsm;
+        if (table.visit(key, end) == StateTable::Visit::Subsumed)
+            continue;
+        if (ps.statePcXBits(end).empty()) {
+            todo.push_back(std::move(end));
+            continue;
+        }
+        bool overflow = false;
+        for (uint16_t pc : ps.candidatePcs(r.endInstr, end, overflow))
+            todo.push_back(ps.concretizePc(end, pc));
+    }
+    return states;
+}
+
+TEST_F(SimEventSoc, TrackedRestoreMatchesReference)
+{
+    // PathSim::restore writes flops through setNet and memories through
+    // setMemCells and invalidates nothing, so a settle after it runs
+    // only the units its changes marked. Restore recorded states in a
+    // random order, each on top of whatever the last one left, and
+    // hold every settle and edge after it to a full sweep of the same
+    // architectural state.
+    const Netlist &nl = soc->netlist();
+    const SocProbes &prb = soc->probes();
+    const MemoryDecl &ram = nl.memory(prb.dataMem);
+    for (const char *name : {"tHold", "inSort"}) {
+        SCOPED_TRACE(name);
+        const Workload &w = workloadByName(name);
+        const Policy policy = w.policy();
+        const ProgramImage image = w.image();
+        PathSim ps(*soc, policy, EngineConfig{}, image);
+        ps.loadProgram();
+        // Program memory, constants and the rest of what a restore
+        // leaves alone; a restore on the reference starts from it.
+        const SignalState loaded = ps.sim.state();
+        size_t fired = 0;
+        std::vector<SymState> states = recordStates(ps, 40, fired);
+        ASSERT_GE(states.size(), 32u);
+        if (std::string(name) == "tHold") {
+            ASSERT_GT(fired, 0u) << "no POR-fired state recorded";
+        }
+
+        ReferenceSim ref(nl);
+        auto restoreBoth = [&](const SymState &st) {
+            ps.restore(st);
+            ref.state() = loaded;
+            st.restore(ps.layout, ref.state());
+            driveSymbolic(*soc, policy, ref);
+        };
+        auto stepBoth = [&](int cycles, const std::string &what) {
+            for (int c = 0; c < cycles; ++c) {
+                ps.setInputs(false);
+                ps.sim.evalComb();
+                ref.evalComb();
+                ASSERT_TRUE(statesEqual(ps.sim, ref.state()))
+                    << what << ", settle " << c;
+                ASSERT_TRUE(stateMatchesNetValues(ps.sim))
+                    << what << ", settle " << c;
+                ps.sim.clockEdge();
+                ref.clockEdge();
+                ASSERT_TRUE(statesEqual(ps.sim, ref.state()))
+                    << what << ", edge " << c;
+                ASSERT_TRUE(stateMatchesNetValues(ps.sim))
+                    << what << ", edge " << c;
+            }
+        };
+
+        std::mt19937 rng(17);
+        std::vector<size_t> order(states.size());
+        for (size_t i = 0; i < order.size(); ++i)
+            order[i] = i;
+        std::shuffle(order.begin(), order.end(), rng);
+        for (size_t i : order) {
+            restoreBoth(states[i]);
+            stepBoth(8, "state " + std::to_string(i));
+            if (HasFatalFailure())
+                return;
+        }
+
+        // A restore whose only change is the RAM word under the read
+        // port's current (concrete, untainted) address: a value bit,
+        // then only its taint. Just the read port's mark can bring the
+        // read data up to date.
+        size_t ramBase = 0;
+        for (const auto &[mem, base] : ps.layout.mems()) {
+            if (mem == prb.dataMem)
+                ramBase = base;
+        }
+        size_t probed = 0;
+        for (size_t i = 0; i < states.size() && probed < 2; ++i) {
+            restoreBoth(states[i]);
+            ps.setInputs(false);
+            ps.sim.evalComb();
+            std::vector<Signal> addr;
+            for (NetId a : ram.readAddr)
+                addr.push_back(ps.sim.netValue(a));
+            const MemAddr ma =
+                decodeMemAddr(addr, ram.words, ram.maxUnknownAddrBits);
+            if (ma.xMask || ma.tainted || ma.fullRange ||
+                ma.base >= ram.words)
+                continue;
+            ++probed;
+            const size_t cell = ramBase + ma.base * ram.width;
+            const Signal old = states[i].slot(cell);
+            SymState valueChanged = states[i];
+            valueChanged.setSlot(
+                cell, Signal{old.value == Tern::Zero ? Tern::One
+                                                     : Tern::Zero,
+                             old.taint});
+            SymState taintChanged = states[i];
+            taintChanged.setSlot(cell, Signal{old.value, !old.taint});
+            for (const SymState *st : {&valueChanged, &taintChanged}) {
+                restoreBoth(*st);
+                stepBoth(8, "RAM word " + std::to_string(ma.base) +
+                                " of state " + std::to_string(i));
+                if (HasFatalFailure())
+                    return;
+                // Back to the settled original before the next variant.
+                restoreBoth(states[i]);
+                ps.setInputs(false);
+                ps.sim.evalComb();
+            }
+        }
+        EXPECT_EQ(probed, 2u) << "no concrete RAM read address found";
+    }
+}
+
+TEST_F(SimEventSoc, TaintDeltaMatchesPerNetScan)
+{
+    // A segment ORs the taint plane into slot space each cycle and
+    // names the nets once at its end; the reference is the per-net
+    // scan after every settle (the cycleCharged hook runs right after
+    // it).
+    const Netlist &nl = soc->netlist();
+    for (const char *name : {"tHold", "FFT"}) {
+        SCOPED_TRACE(name);
+        const Workload &w = workloadByName(name);
+        const Policy policy = w.policy();
+        const ProgramImage image = w.image();
+        PathSim ps(*soc, policy, EngineConfig{}, image);
+        ps.loadProgram();
+        size_t fired = 0;
+        const std::vector<SymState> states = recordStates(ps, 40, fired);
+        if (std::string(name) == "tHold") {
+            ASSERT_GT(fired, 0u) << "no POR fork recorded";
+        }
+
+        size_t forks = 0;
+        for (size_t i = 0; i < states.size(); ++i) {
+            BitPlane scan(nl.numNets());
+            SegmentHooks hooks;
+            hooks.cycleCharged = [&] {
+                for (NetId n = 0; n < nl.numNets(); ++n) {
+                    if (ps.sim.netValue(n).taint)
+                        scan.set(n, true);
+                }
+            };
+            const SegmentResult r = ps.runSegment(states[i], hooks);
+            forks += r.porForks.size();
+            ASSERT_TRUE(r.taintDelta == scan) << "segment " << i;
+        }
+        if (std::string(name) == "tHold") {
+            EXPECT_GT(forks, 0u) << "no segment took a POR fork";
+        }
+
+        BitPlane everTainted(nl.numNets());
+        ps.starSaturate(&everTainted);
+        BitPlane scan(nl.numNets());
+        for (NetId n = 0; n < nl.numNets(); ++n) {
+            if (ps.sim.netValue(n).taint)
+                scan.set(n, true);
+        }
+        EXPECT_TRUE(everTainted == scan) << "starSaturate";
     }
 }
 
