@@ -164,12 +164,6 @@ encodePayload(const Event &e)
         putStr(p, e.severity);
         putStr(p, e.detail);
         break;
-      case EventType::Explore:
-        putStr(p, e.phase);
-        putU64(p, e.worker);
-        putU64(p, e.cycles);
-        putStr(p, e.detail);
-        break;
     }
     return p;
 }
@@ -215,13 +209,6 @@ decodePayload(uint8_t type, const std::string &payload, Event &out)
         out.severity = r.str();
         out.detail = r.str();
         break;
-      case EventType::Explore:
-        out.type = EventType::Explore;
-        out.phase = r.str();
-        out.worker = r.u64();
-        out.cycles = r.u64();
-        out.detail = r.str();
-        break;
       default:
         return false; // unknown type: skip, stay forward-compatible
     }
@@ -238,7 +225,6 @@ eventTypeName(EventType t)
       case EventType::Heartbeat: return "heartbeat";
       case EventType::StatsSnapshot: return "stats";
       case EventType::BudgetUsage: return "budget";
-      case EventType::Explore: return "explore";
     }
     return "?";
 }

@@ -40,14 +40,17 @@
 namespace glifs::telemetry
 {
 
-/** Event record types (the u8 on the wire; gaps stay reserved). */
+/**
+ * Event record types (the u8 on the wire). Gaps stay reserved: 5 was
+ * a retired type, and a reader counts a frame of an unknown type as
+ * undecodable instead of guessing at it.
+ */
 enum class EventType : uint8_t
 {
     Lifecycle = 1,     ///< worker phase transition (started/finished)
     Heartbeat = 2,     ///< periodic progress from the governor poll point
     StatsSnapshot = 3, ///< stats-registry sample (name/value pairs)
     BudgetUsage = 4,   ///< a budget threshold crossing
-    Explore = 5,       ///< parallel-exploration coordinator event
 };
 
 /** Printable name of an event type. */
@@ -83,12 +86,6 @@ struct Event
     std::string resource;
     std::string severity;
     std::string detail;
-
-    // Explore (reuses phase/cycles/detail): phase is the event kind
-    // ("ship", "result", "steal", "respawn", "prune"); worker is the
-    // exploration lane index (0-based); cycles carries the segment
-    // cycle count where one applies.
-    uint64_t worker = 0;
 };
 
 /** Upper bound replay will believe for one frame's payload. */

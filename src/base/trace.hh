@@ -94,9 +94,9 @@ class Tracer
 
     /**
      * Label a trace lane: rendered as a Chrome "thread_name" metadata
-     * row, so per-worker exploration lanes (explore/coordinator.cc)
-     * show up named in chrome://tracing and Perfetto. Relabeling a tid
-     * overwrites; labels survive clear() but not enable().
+     * row, so the lane shows up named in chrome://tracing and
+     * Perfetto. Relabeling a tid overwrites; labels survive clear()
+     * but not enable().
      */
     void threadName(uint32_t tid, const std::string &label);
 

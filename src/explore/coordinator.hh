@@ -1,27 +1,14 @@
 /**
  * @file
- * Work-stealing parallel symbolic exploration (DESIGN.md §10).
+ * The names perfbench/probe.cc's `runFleet` calls, kept so that probe
+ * builds unchanged: the benchmark definition (BENCHMARK.json) keeps
+ * its source fixed.
  *
- * ParallelEngine runs the engine's one Algorithm-1 driver
- * (IftEngine::run) with a worker fleet plugged in as its
- * SegmentSource. The driver keeps the authoritative run -- frontier,
- * state table, governor, violation log, execution tree -- and applies
- * every segment in serial order. Worker processes only ever execute
- * segments speculatively -- pure functions of their start state
- * (ift/path_sim.hh) -- and publish the results into a digest-keyed
- * cache. When the driver pops a state whose digest is cached, the
- * fleet hands it the result instead of letting it re-simulate; when
- * it is not (or the result would cross a cycle budget mid-segment),
- * the driver simulates inline under the real governor. The verdict,
- * violation set, cycle counts and execution tree are therefore
- * bit-identical to the serial engine for every job count, and progress
- * never depends on any worker staying alive.
- *
- * Work is sharded to per-worker queues round-robin; a drained worker
- * steals from the most loaded queue (explore.steals). A worker that
- * dies (crash, kill -9, injected fault) is detected by pipe EOF, its
- * outstanding work is resharded, and it is respawned up to a cap
- * (explore.workers_respawned).
+ * `--explore-jobs` no longer starts a worker fleet: every audit runs
+ * IftEngine::run, and ParallelEngine::run is that call. ExploreConfig
+ * only carries the fields the probe sets; they are ignored. Nothing in
+ * src/, tools/ or tests/ uses this file. It is deleted by the
+ * benchmark change that redefines the `rtos_fleet` workload.
  */
 
 #ifndef GLIFS_EXPLORE_COORDINATOR_HH
@@ -38,46 +25,31 @@
 namespace glifs::explore
 {
 
-/** How the coordinator runs and respawns its worker fleet. */
+/** What the probe sets for a fleet run (ignored). */
 struct ExploreConfig
 {
-    /** Total exploration processes including the coordinator; the
-     *  coordinator spawns jobs-1 workers. Must be >= 2 (jobs == 1 is
-     *  the untouched serial IftEngine path, selected by the caller). */
     unsigned jobs = 2;
-
-    /** The glifs_audit binary to exec as --explore-worker. */
     std::string auditBinary;
-
-    /** argv tail rebuilding the same Soc/Policy/image in the worker
-     *  (firmware path, --policy/--task-base/--task-end/--taint-code,
-     *  --max-cycles). */
     std::vector<std::string> workerArgs;
-
-    unsigned chunkEntries = 6;   ///< execution points per work unit
-    unsigned maxOutstanding = 2; ///< shipped units in flight per worker
-    unsigned respawnCap = 3;     ///< respawns per worker slot
 };
 
-/**
- * IftEngine::run with the worker fleet as its segment source. Same
- * inputs, same EngineResult contract, deterministically identical
- * output.
- */
+/** IftEngine::run under the probe's old name. */
 class ParallelEngine
 {
   public:
-    ParallelEngine(const Soc &s, const Policy &p, const EngineConfig &c,
-                   ExploreConfig x);
+    ParallelEngine(const Soc &soc, const Policy &policy,
+                   const EngineConfig &cfg, const ExploreConfig &)
+        : engine(soc, policy, cfg)
+    {
+    }
 
-    EngineResult run(const ProgramImage &image,
-                     const EngineCheckpoint *resume = nullptr);
+    EngineResult run(const ProgramImage &image)
+    {
+        return engine.run(image);
+    }
 
   private:
-    const Soc &soc;
-    const Policy &policy;
-    EngineConfig cfg;
-    ExploreConfig xcfg;
+    IftEngine engine;
 };
 
 } // namespace glifs::explore

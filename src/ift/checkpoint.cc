@@ -42,9 +42,7 @@ ckptStats()
 /**
  * Per-thread scratch buffer for save/load bodies. Snapshot bodies of
  * one run are all about the same size, so after the first call the
- * serialize path performs no heap allocation beyond string payloads --
- * this is the steal-latency floor of parallel exploration, where every
- * shipped work unit rides through encodeBody/decodeBody.
+ * serialize path performs no heap allocation beyond string payloads.
  */
 std::string &
 scratchBuffer()
@@ -295,9 +293,8 @@ EngineCheckpoint::load(const std::string &path)
 
     // Slurp and verify the body before parsing: a bit flip anywhere
     // must become this one error, not a semi-plausible parse. The
-    // slurp reuses the per-thread scratch, so repeated loads (the
-    // parallel coordinator re-reading shipped work units) settle into
-    // a steady-state allocation footprint.
+    // slurp reuses the per-thread scratch, so repeated loads settle
+    // into a steady-state allocation footprint.
     std::string &bytes = scratchBuffer();
     in.seekg(0, std::ios::end);
     const std::streamoff fileEnd = in.tellg();

@@ -84,12 +84,9 @@ struct EngineCheckpoint
     /** Load and validate a snapshot; RecoverableError on any defect. */
     static EngineCheckpoint load(const std::string &path);
 
-    /**
-     * Append the body (everything after the magic/version/CRC header)
-     * to @p out. Shared by save() and the parallel-exploration work
-     * shipping (explore/protocol.cc); callers reuse the buffer across
-     * encodes to keep the hot path allocation-free.
-     */
+  private:
+    /** Append the body (everything after the magic/version/CRC
+     *  header) to @p out. */
     void encodeBody(std::string &out) const;
 
     /** Parse a body produced by encodeBody; RecoverableError on any

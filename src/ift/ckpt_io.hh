@@ -1,15 +1,14 @@
 /**
  * @file
- * Little-endian primitive serialization over in-memory buffers,
- * shared by the engine checkpoint format (ift/checkpoint.cc) and the
- * parallel-exploration wire protocol (explore/protocol.cc).
+ * Little-endian primitive serialization over in-memory buffers for
+ * the engine checkpoint format (ift/checkpoint.cc).
  *
- * Writer appends to a caller-provided std::string so hot paths (the
- * checkpoint save loop, segment-result shipping) can reuse one scratch
- * buffer across calls instead of re-allocating an ostringstream per
- * snapshot. Reader is a bounds-checked cursor over a std::string_view;
- * every short read or implausible section length surfaces as one
- * RecoverableError, never a garbage parse.
+ * Writer appends to a caller-provided std::string so the checkpoint
+ * save loop can reuse one scratch buffer across calls instead of
+ * re-allocating an ostringstream per snapshot. Reader is a
+ * bounds-checked cursor over a std::string_view; every short read or
+ * implausible section length surfaces as one RecoverableError, never
+ * a garbage parse.
  */
 
 #ifndef GLIFS_IFT_CKPT_IO_HH
@@ -26,7 +25,7 @@
 namespace glifs::ckptio
 {
 
-/** Caps shared by every consumer: a section length or string beyond
+/** Caps on what a reader believes: a section length or string beyond
  *  these is treated as corruption, not an allocation request. */
 constexpr uint32_t kMaxSection = 1u << 26;
 constexpr uint64_t kMaxBits = 1ull << 36;

@@ -1,9 +1,7 @@
 #include "ift/engine.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <limits>
 #include <sstream>
 #include <tuple>
 
@@ -89,12 +87,23 @@ EngineResult::summary() const
 namespace
 {
 
-/** Everything one run() invocation needs: the authoritative run state
- *  every segment is folded into. */
+/** One execution point on the exploration frontier. */
+struct FrontierEntry
+{
+    SymState state;
+    uint32_t node = 0; ///< execution-tree node of the path
+
+    /** Continuation of a path past a commit that neither subsumed it
+     *  nor left its PC unknown: popped without the per-path
+     *  accounting. */
+    bool cont = false;
+};
+
+/** Everything one run() invocation needs: the run state every
+ *  segment is folded into. */
 struct RunCtx
 {
     PathSim ps; ///< sim, layout, checker and the Algorithm-1 helpers
-    SegmentSource *source; ///< optional; nullptr simulates everything
 
     ViolationLog log;
     StateTable table;
@@ -115,8 +124,8 @@ struct RunCtx
     std::vector<Degradation> degradations;
 
     RunCtx(const Soc &s, const Policy &p, const EngineConfig &c,
-           const ProgramImage &img, SegmentSource *src)
-        : ps(s, p, c, img), source(src), gov(c.budgets),
+           const ProgramImage &img)
+        : ps(s, p, c, img), gov(c.budgets),
           everTainted(s.netlist().numNets())
     {
     }
@@ -185,18 +194,15 @@ struct RunCtx
      * Resource governance before every simulated cycle: soft
      * exhaustion degrades in place; hard exhaustion stops with a
      * partial result (and a resumable snapshot of the frontier) --
-     * never a fatal. @p unrestored is the path's start state when the
-     * simulator does not hold it (a fetched segment): the degradation
-     * record reads the executing instruction out of the simulator.
+     * never a fatal. The degradation record reads the executing
+     * instruction out of the simulator.
      */
     CycleAction
-    pollBudgets(uint32_t node, const SymState *unrestored)
+    pollBudgets(uint32_t node)
     {
         std::optional<BudgetEvent> ev = gov.poll();
         if (!ev)
             return CycleAction::Continue;
-        if (unrestored)
-            ps.restore(*unrestored);
         const uint16_t at = ps.tryBusValue(ps.soc.probes().instrAddrQ);
         if (ev->severity == BudgetSeverity::Hard) {
             recordDegradation(DegradeLevel::PartialStop, ev->kind,
@@ -226,26 +232,7 @@ struct RunCtx
         --pathsExplored;
     }
 
-    /**
-     * Cycles a fetched segment may span: budgets are polled before
-     * every cycle, so a segment that would cross a cycle budget
-     * mid-flight runs inline, where the stop or escalation lands on
-     * the exact cycle. Wall-clock and RSS budgets fire at the next
-     * segment boundary instead (DESIGN.md §10).
-     */
-    uint64_t
-    cycleRoom() const
-    {
-        uint64_t room = std::numeric_limits<uint64_t>::max();
-        for (uint64_t t :
-             {ps.cfg.budgets.softCycles, ps.cfg.budgets.hardCycles}) {
-            if (t > totalCycles)
-                room = std::min(room, t - totalCycles);
-        }
-        return room;
-    }
-
-    /** Algorithm 1: pop, simulate (or fetch) one segment, apply it. */
+    /** Algorithm 1: pop, simulate one segment, apply it. */
     void
     explore()
     {
@@ -253,7 +240,7 @@ struct RunCtx
         trace::Tracer &tr = trace::Tracer::instance();
         uint32_t node = 0;
         SegmentHooks hooks;
-        hooks.poll = [&] { return pollBudgets(node, nullptr); };
+        hooks.poll = [&] { return pollBudgets(node); };
         hooks.cycleCharged = [&] {
             ++totalCycles;
             ++es.cycles;
@@ -289,34 +276,7 @@ struct RunCtx
                          "execution point with unknown PC");
 
             const uint64_t c0 = totalCycles;
-            const SegmentResult *fetched =
-                source ? source->segmentFor(e, stack, cycleRoom())
-                       : nullptr;
-            if (!fetched) {
-                SegmentResult seg = ps.runSegment(e.state, hooks, c0);
-                apply(node, seg, std::move(seg.end), c0, true);
-                continue;
-            }
-            // A fetched segment gets only the first of its governor
-            // polls: cycleRoom() keeps cycle budgets from firing inside
-            // it, and timing budgets wait for the next segment.
-            switch (pollBudgets(node, &e.state)) {
-            case CycleAction::Stop:
-                park(std::move(e.state), node);
-                break;
-            case CycleAction::Kill:
-                ps.starSaturate(&everTainted);
-                break;
-            case CycleAction::Continue:
-                totalCycles += fetched->cycles;
-                es.cycles += fetched->cycles;
-                gov.chargeCycles(fetched->cycles);
-                tree.node(node).cycles += fetched->cycles;
-                // A copy: the source's result stays pristine for later
-                // pops of the same state.
-                apply(node, *fetched, fetched->end, c0, false);
-                break;
-            }
+            apply(node, ps.runSegment(e.state, hooks, c0), c0);
         }
     }
 
@@ -325,13 +285,11 @@ struct RunCtx
      * taint, violations (rebased onto the global clock), POR forks,
      * then the segment end -- budget stop or kill, *-logic give-up,
      * HALT, or the commit's state-table visit followed by PC fan-out
-     * or continuation. @p end is the segment's end state (apply never
-     * reads seg.end); @p simHoldsEnd says whether the simulator still
-     * holds it.
+     * or continuation. The simulator still holds the segment's end
+     * state.
      */
     void
-    apply(uint32_t node, const SegmentResult &seg, SymState end,
-          uint64_t c0, bool simHoldsEnd)
+    apply(uint32_t node, SegmentResult seg, uint64_t c0)
     {
         EngineStats &es = engineStats();
         if (ps.cfg.trackTaintedNets && seg.taintDelta.size() > 0)
@@ -340,14 +298,15 @@ struct RunCtx
             v.firstCycle += c0;
             log.merge(v);
         }
-        for (const SegmentPorFork &f : seg.porForks) {
+        for (SegmentPorFork &f : seg.porForks) {
             ++branchPoints;
             ++es.branchPoints;
             ++es.porForks;
             GLIFS_TRACE_INSTANT_ARGS(
                 "engine", "por_fork",
                 add("instr", hex16(f.instr)).add("cycle", c0 + f.cycle));
-            stack.push_back({f.fired, tree.addNode(node, f.startPc)});
+            stack.push_back(
+                {std::move(f.fired), tree.addNode(node, f.startPc)});
         }
 
         if (seg.killed) {
@@ -357,7 +316,7 @@ struct RunCtx
             return;
         }
         if (seg.stopped) {
-            park(std::move(end), node);
+            park(std::move(seg.end), node);
             return;
         }
         if (seg.starAborted) {
@@ -372,6 +331,7 @@ struct RunCtx
             return;
         }
 
+        SymState end = std::move(seg.end);
         const uint16_t instr_addr = seg.endInstr;
         const uint16_t fsm = seg.endFsm;
         const uint32_t table_key =
@@ -399,11 +359,8 @@ struct RunCtx
         }
         if (visit == StateTable::Visit::Subsumed) {
             endPath(node, PathEnd::Subsumed, instr_addr);
-            if (!simHoldsEnd) {
-                // The scan reads the data-memory cells out of the
-                // simulator; put the segment's end state there.
-                ps.restore(end);
-            }
+            // The scan reads the data-memory cells out of the
+            // simulator, which still holds the segment's end state.
             ps.checker.checkMemoryInvariant(ps.sim, instr_addr,
                                             totalCycles, log);
             return;
@@ -474,8 +431,7 @@ IftEngine::IftEngine(const Soc &s, const Policy &p,
 }
 
 EngineResult
-IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume,
-               SegmentSource *source)
+IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
 {
     GLIFS_TRACE_SCOPE("engine", "run");
     EngineStats &es = engineStats();
@@ -498,7 +454,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume,
         effective.budgets.hardCycles = effective.maxCycles;
     }
 
-    RunCtx ctx(soc, policy, effective, image, source);
+    RunCtx ctx(soc, policy, effective, image);
     EngineResult res;
 
     // Heartbeat and budget checks share the governor's poll clock

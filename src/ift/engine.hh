@@ -20,10 +20,7 @@
  * frontier, has PathSim::runSegment (ift/path_sim.hh) simulate the
  * popped state to its next commit, and folds each segment into the run
  * in one apply step: taint, violations, POR forks, HALT, the
- * state-table visit, then PC fan-out or continuation. An optional
- * SegmentSource may answer a pop with a segment simulated elsewhere --
- * the --explore-jobs fleet (explore/coordinator.hh) does -- and the
- * driver applies it exactly as if it had run it itself.
+ * state-table visit, then PC fan-out or continuation.
  */
 
 #ifndef GLIFS_IFT_ENGINE_HH
@@ -48,7 +45,6 @@ namespace glifs
 {
 
 struct EngineCheckpoint;
-struct SegmentResult;
 
 /** Engine knobs. */
 struct EngineConfig
@@ -191,53 +187,6 @@ struct EngineResult
     std::string summary() const;
 };
 
-/** One execution point on the exploration frontier. */
-struct FrontierEntry
-{
-    FrontierEntry(SymState s, uint32_t n, bool c = false)
-        : state(std::move(s)), node(n), cont(c)
-    {
-    }
-
-    SymState state;
-    uint32_t node = 0; ///< execution-tree node of the path
-
-    /** Continuation of a path past a commit that neither subsumed it
-     *  nor left its PC unknown: popped without the per-path
-     *  accounting. */
-    bool cont = false;
-
-    /** Memo slot for a SegmentSource (empty until it fills it). */
-    std::string digest;
-};
-
-/**
- * Segments simulated outside the driver. Segments are pure functions
- * of their start state (ift/path_sim.hh), so a result computed
- * anywhere applies exactly like one the driver simulates itself.
- */
-class SegmentSource
-{
-  public:
-    SegmentSource() = default;
-    SegmentSource(const SegmentSource &) = delete;
-    SegmentSource &operator=(const SegmentSource &) = delete;
-    virtual ~SegmentSource() = default;
-
-    /**
-     * Called for every popped entry @p top before it is simulated;
-     * @p frontier is the rest of the stack (entries may have their
-     * digest memo filled, nothing else). Returns the segment starting
-     * at top.state if it is at hand and shorter than @p cycleRoom
-     * cycles -- a longer one would cross a cycle budget that the
-     * driver must stop at mid-segment -- or nullptr to simulate inline.
-     * The result must stay valid until the next call.
-     */
-    virtual const SegmentResult *
-    segmentFor(FrontierEntry &top, std::vector<FrontierEntry> &frontier,
-               uint64_t cycleRoom) = 0;
-};
-
 /**
  * The application-specific gate-level information flow tracking tool
  * (Figure 6): netlist + binary + policy in, violations out.
@@ -251,14 +200,13 @@ class IftEngine
     /**
      * Run the full analysis of a program image, optionally continuing
      * from a checkpoint taken by an earlier (interrupted) run of the
-     * same image on the same SoC, and optionally taking segments from
-     * @p source. Throws RecoverableError if the checkpoint does not
-     * match. Resuming an unmodified snapshot reproduces the
-     * uninterrupted run's counters and violations exactly.
+     * same image on the same SoC. Throws RecoverableError if the
+     * checkpoint does not match. Resuming an unmodified snapshot
+     * reproduces the uninterrupted run's counters and violations
+     * exactly.
      */
     EngineResult run(const ProgramImage &image,
-                     const EngineCheckpoint *resume = nullptr,
-                     SegmentSource *source = nullptr);
+                     const EngineCheckpoint *resume = nullptr);
 
   private:
     const Soc &soc;

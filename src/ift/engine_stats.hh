@@ -2,8 +2,7 @@
  * @file
  * The engine.* stat catalogue (docs/OBSERVABILITY.md), shared by the
  * exploration driver (ift/engine.cc) and the segment runner
- * (ift/path_sim.cc), so serial and --explore-jobs runs feed the same
- * counters.
+ * (ift/path_sim.cc).
  */
 
 #ifndef GLIFS_IFT_ENGINE_STATS_HH

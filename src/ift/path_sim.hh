@@ -1,8 +1,7 @@
 /**
  * @file
- * Per-path symbolic simulation: the one Algorithm-1 cycle loop, shared
- * by the engine's driver (ift/engine.cc) and the parallel exploration
- * workers (explore/worker.cc).
+ * Per-path symbolic simulation: the one Algorithm-1 cycle loop, run by
+ * the engine's driver (ift/engine.cc).
  *
  * A *segment* is the simulation of one execution point from its
  * concrete-PC start state up to the next PC-changing commit, HALT, the
@@ -12,8 +11,7 @@
  * POR fork depends only on the netlist, policy, program image and the
  * start state, never on the engine's global budgets or ladder position
  * (those only affect what the *driver* does with the segment end).
- * That purity is what lets worker processes execute segments
- * speculatively while the driver applies them in strict serial order
+ * Two pops of the same start state therefore replay the same segment
  * (DESIGN.md §10).
  *
  * A segment captures the full symbolic state (SymState) only where the

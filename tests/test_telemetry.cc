@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "base/faultfs.hh"
+#include "base/hash.hh"
 #include "base/stats.hh"
 #include "base/telemetry.hh"
 #include "batch/manifest.hh"
@@ -243,6 +244,51 @@ TEST(TelemetryFraming, BodyBitFlipCostsOnlyThatFrame)
             EXPECT_FALSE(r.poisoned());
         }
     }
+}
+
+/** Type codes without a decoder stay reserved (5 was a retired type):
+ *  a well-formed frame of one costs only that frame, counted with the
+ *  undecodable ones, and the stream decodes on around it. */
+TEST(TelemetryFraming, ReservedTypeCostsOnlyThatFrame)
+{
+    // u32 len | u8 type | payload | u32 crc32(type + payload), built
+    // by hand because encodeFrame only frames known types. The
+    // payload is what type 5 used to carry: phase, lane, cycles,
+    // detail.
+    std::string body(1, '\x05');
+    auto putLe = [](std::string &out, uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    };
+    auto putStr = [&](const std::string &v) {
+        putLe(body, v.size(), 4);
+        body += v;
+    };
+    putStr("steal");
+    putLe(body, 1, 8);
+    putLe(body, 40, 8);
+    putStr("");
+    std::string reserved;
+    putLe(reserved, body.size() - 1, 4);
+    reserved += body;
+    putLe(reserved, crc32(body), 4);
+
+    const std::string stream = telemetry::encodeFrame(sampleHeartbeat()) +
+                               reserved +
+                               telemetry::encodeFrame(sampleLifecycle());
+    Reader r;
+    std::vector<Event> out;
+    r.feed(stream.data(), stream.size(), out);
+    EXPECT_FALSE(r.finish());
+    EXPECT_FALSE(r.poisoned());
+    EXPECT_EQ(r.tornFrames(), 0u);
+    EXPECT_EQ(r.crcErrors(), 1u);
+    EXPECT_EQ(r.frames(), 2u);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].type, EventType::Heartbeat);
+    EXPECT_EQ(out[0].cycles, 123456u);
+    EXPECT_EQ(out[1].type, EventType::Lifecycle);
+    EXPECT_EQ(out[1].verdict, "violations");
 }
 
 /** An unbelievable length prefix poisons the stream: nothing after

@@ -47,7 +47,6 @@ KNOWN_GROUPS = frozenset({
     "checker",
     "checkpoint",
     "engine",
-    "explore",
     "governor",
     "sim",
     "state_table",

@@ -35,16 +35,12 @@
  *                      unusable snapshot warns and runs fresh
  *   --no-retry         disable the *-logic retry after degradation
  *
- * Parallel exploration (see DESIGN.md, "Parallel exploration"):
- *   --explore-jobs N   explore with N processes: a coordinator that
- *                      owns the authoritative serial frontier plus
- *                      N-1 speculative segment workers. The verdict,
- *                      violations and counters are bit-identical to
- *                      the serial engine for every N; N=1 *is* the
- *                      serial engine
- *   --explore-worker   internal: serve exploration work units to a
- *                      coordinator over inherited pipes (fd 0 in,
- *                      fd 3 out); never invoke by hand
+ * Compatibility:
+ *   --explore-jobs N   accepted (N must be >= 1) and ignored: every
+ *                      audit runs the one serial engine (DESIGN.md
+ *                      §10). It stays only because the benchmark's
+ *                      rtos_fleet workload (BENCHMARK.json) passes
+ *                      --explore-jobs 3
  *
  * Observability (see docs/OBSERVABILITY.md):
  *   --stats-json FILE  write the machine-readable run report (verdict,
@@ -75,8 +71,6 @@
  *      unassemblable firmware)
  */
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
@@ -91,8 +85,6 @@
 #include "base/strutil.hh"
 #include "base/telemetry.hh"
 #include "base/trace.hh"
-#include "explore/coordinator.hh"
-#include "explore/worker.hh"
 #include "ift/checkpoint.hh"
 #include "ift/policy_file.hh"
 #include "ift/rootcause.hh"
@@ -195,51 +187,8 @@ struct Options
     double progressSeconds = 0.0;
     int telemetryFd = -1;
     unsigned interval = 1;
-    unsigned exploreJobs = 1;
-    bool exploreWorker = false;
     EngineConfig engineCfg;
 };
-
-/** Absolute path of this binary, for re-exec'ing it as a worker. */
-std::string
-selfExePath()
-{
-    char buf[4096];
-    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        return "glifs_audit";
-    buf[n] = '\0';
-    return buf;
-}
-
-/**
- * The argv tail that rebuilds this run's Soc/policy/image in an
- * exploration worker: only the knobs that shape segment execution
- * (firmware, labels, cycle cap) -- budgets, checkpoints and reporting
- * stay coordinator-side.
- */
-std::vector<std::string>
-workerArgsFor(const Options &opts)
-{
-    std::vector<std::string> args;
-    args.push_back(opts.path);
-    if (!opts.policyPath.empty()) {
-        args.push_back("--policy");
-        args.push_back(opts.policyPath);
-    } else {
-        args.push_back("--task-base");
-        args.push_back(std::to_string(opts.taskBase));
-        args.push_back("--task-end");
-        args.push_back(std::to_string(opts.taskEnd));
-    }
-    if (opts.taintCode)
-        args.push_back("--taint-code");
-    if (opts.engineCfg.maxCycles > 0) {
-        args.push_back("--max-cycles");
-        args.push_back(std::to_string(opts.engineCfg.maxCycles));
-    }
-    return args;
-}
 
 /**
  * stderr heartbeat line (fired from the governor poll point). Built
@@ -385,19 +334,8 @@ analyzeGoverned(const Soc &soc, const Policy &policy,
                 const ProgramImage &img, const Options &opts,
                 const EngineCheckpoint *resume)
 {
-    EngineResult result = [&] {
-        if (opts.exploreJobs >= 2 && !opts.engineCfg.starLogicMode) {
-            explore::ExploreConfig x;
-            x.jobs = opts.exploreJobs;
-            x.auditBinary = selfExePath();
-            x.workerArgs = workerArgsFor(opts);
-            return explore::ParallelEngine(soc, policy,
-                                           opts.engineCfg, x)
-                .run(img, resume);
-        }
-        IftEngine engine(soc, policy, opts.engineCfg);
-        return engine.run(img, resume);
-    }();
+    EngineResult result =
+        IftEngine(soc, policy, opts.engineCfg).run(img, resume);
 
     if (result.verdict() == Verdict::UnknownDegraded &&
         opts.retryDegraded && !opts.engineCfg.starLogicMode &&
@@ -620,13 +558,9 @@ main(int argc, char **argv)
         else if (arg == "--telemetry-fd")
             opts.telemetryFd = static_cast<int>(nextNum());
         else if (arg == "--explore-jobs") {
-            int64_t n = nextNum();
-            if (n < 1)
+            if (nextNum() < 1)
                 usage();
-            opts.exploreJobs = static_cast<unsigned>(n);
-        } else if (arg == "--explore-worker")
-            opts.exploreWorker = true;
-        else if (arg == "--progress")
+        } else if (arg == "--progress")
             opts.progressSeconds = 1.0;
         else if (arg.rfind("--progress=", 0) == 0) {
             std::string s = arg.substr(11);
@@ -644,30 +578,6 @@ main(int argc, char **argv)
     }
     if (opts.path.empty())
         usage();
-
-    if (opts.exploreWorker) {
-        // Internal mode: serve segment work units to a parallel
-        // coordinator over inherited pipes (explore/worker.hh).
-        // Rebuild the same Soc/Policy/image the coordinator holds,
-        // quietly; default signal dispositions stay in place so the
-        // coordinator's shutdown SIGTERM ends the process promptly.
-        try {
-            Soc soc;
-            Policy policy =
-                opts.policyPath.empty()
-                    ? benchmarkPolicy(opts.taskBase, opts.taskEnd)
-                    : loadPolicyFile(opts.policyPath);
-            policy.taintCodeInProgMem =
-                policy.taintCodeInProgMem || opts.taintCode;
-            ProgramImage img =
-                assemble(parseSource(readFile(opts.path)));
-            return explore::workerMain(soc, policy, opts.engineCfg,
-                                       img);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "explore worker: %s\n", e.what());
-            return kExitUsage;
-        }
-    }
 
     opts.engineCfg.checkpointOnStop = !opts.checkpointPath.empty();
     // SIGINT and SIGTERM always request a governed stop instead of
