@@ -210,7 +210,7 @@ decodePayload(uint8_t type, const std::string &payload, Event &out)
         out.detail = r.str();
         break;
       default:
-        return false; // unknown type: skip, stay forward-compatible
+        return false; // feed() skips unknown types before decoding
     }
     return !r.bad;
 }
@@ -346,13 +346,17 @@ Reader::feed(const void *data, size_t n, std::vector<Event> &out)
             pos += frameSize;
             continue;
         }
+        const uint8_t type = static_cast<uint8_t>(body[0]);
+        pos += frameSize;
+        if (type < static_cast<uint8_t>(EventType::Lifecycle) ||
+            type > static_cast<uint8_t>(EventType::BudgetUsage))
+            continue; // intact, but a type this reader does not know
         Event e;
         std::string payload(body + 1, len);
-        if (decodePayload(static_cast<uint8_t>(body[0]), payload, e))
+        if (decodePayload(type, payload, e))
             ++frameCount, out.push_back(std::move(e));
         else
             ++crcErrorCount;
-        pos += frameSize;
     }
     buf.erase(0, pos);
 }

@@ -42,15 +42,16 @@ namespace glifs::telemetry
 
 /**
  * Event record types (the u8 on the wire). Gaps stay reserved: 5 was
- * a retired type, and a reader counts a frame of an unknown type as
- * undecodable instead of guessing at it.
+ * a retired type. The CRC covers the type byte, so an intact frame of
+ * an unknown type (a newer writer's) is skipped without guessing at
+ * it and without counting it as damage.
  */
 enum class EventType : uint8_t
 {
     Lifecycle = 1,     ///< worker phase transition (started/finished)
     Heartbeat = 2,     ///< periodic progress from the governor poll point
     StatsSnapshot = 3, ///< stats-registry sample (name/value pairs)
-    BudgetUsage = 4,   ///< a budget threshold crossing
+    BudgetUsage = 4,   ///< a budget exhaustion
 };
 
 /** Printable name of an event type. */
@@ -82,7 +83,8 @@ struct Event
     // StatsSnapshot: dotted stat name -> value.
     std::vector<std::pair<std::string, double>> stats;
 
-    // BudgetUsage: resourceKindName / "soft"|"hard" / free-form detail.
+    // BudgetUsage: resourceKindName / severity (always "hard") /
+    // free-form detail.
     std::string resource;
     std::string severity;
     std::string detail;
@@ -158,6 +160,8 @@ class Reader
     bool finish();
 
     uint64_t frames() const { return frameCount; }
+    /** Frames that failed their CRC, or whose known type carried a
+     *  malformed payload. */
     uint64_t crcErrors() const { return crcErrorCount; }
     uint64_t tornFrames() const { return tornCount; }
     /** True once a frame header was unbelievable (stream abandoned). */

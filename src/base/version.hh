@@ -13,7 +13,7 @@
 namespace glifs
 {
 
-constexpr const char *kGlifsVersion = "glifs-0.4.0";
+constexpr const char *kGlifsVersion = "glifs-0.5.0";
 
 } // namespace glifs
 

@@ -84,13 +84,13 @@ EngineCheckpoint::encodeBody(std::string &out) const
     w.u64(branchPoints);
     w.u64(merges);
     w.u64(subsumptions);
-    w.u8(static_cast<uint8_t>(level));
+    w.u8(0); // the retired ladder position
 
     w.u32(static_cast<uint32_t>(degradations.size()));
     for (const Degradation &d : degradations) {
         w.u8(static_cast<uint8_t>(d.level));
         w.u8(static_cast<uint8_t>(d.trigger));
-        w.u8(static_cast<uint8_t>(d.severity));
+        w.u8(1); // the retired severity: every degradation is hard
         w.u64(d.cycle);
         w.u16(d.instrAddr);
         w.str(d.detail);
@@ -143,10 +143,11 @@ EngineCheckpoint::decodeBody(std::string_view body)
     c.branchPoints = r.u64();
     c.merges = r.u64();
     c.subsumptions = r.u64();
-    uint8_t level = r.u8();
-    if (level > static_cast<uint8_t>(DegradeLevel::PartialStop))
-        GLIFS_RECOVERABLE("checkpoint: bad degrade level ", level);
-    c.level = static_cast<DegradeLevel>(level);
+    // Written by an older build after widened merging: the frontier
+    // holds bit-enumerated successors this build would never explore.
+    if (uint8_t ladder = r.u8(); ladder != 0)
+        GLIFS_RECOVERABLE("checkpoint: taken on retired degradation "
+                          "rung ", ladder);
 
     uint32_t ndeg = r.u32();
     if (ndeg > ckptio::kMaxSection)
@@ -156,7 +157,7 @@ EngineCheckpoint::decodeBody(std::string_view body)
         Degradation d;
         d.level = static_cast<DegradeLevel>(r.u8());
         d.trigger = static_cast<ResourceKind>(r.u8());
-        d.severity = static_cast<BudgetSeverity>(r.u8());
+        r.u8(); // the retired severity
         d.cycle = r.u64();
         d.instrAddr = r.u16();
         d.detail = r.str();

@@ -2,17 +2,21 @@
  * @file
  * Versioned binary snapshots of an in-flight engine run.
  *
- * On hard budget exhaustion (deadline, cycle/state/memory budget, or a
- * stop signal) the engine serializes everything a later run needs to
+ * On budget exhaustion (deadline, cycle/state/memory budget, or a stop
+ * signal) the engine serializes everything a later run needs to
  * continue exactly where it stopped: the conservative state table, the
  * exploration frontier, the execution tree, the ever-tainted plane and
- * all counters. Resuming the checkpoint against the same program image
- * and netlist reproduces the uninterrupted run bit-for-bit on the
- * EngineResult counters and violations.
+ * all counters. A budget never changes how a run explores, so resuming
+ * the checkpoint against the same program image and netlist reproduces
+ * the uninterrupted run bit-for-bit on the EngineResult counters,
+ * violations and verdict.
  *
  * Format: magic "GLFSCKPT", a little-endian version word, a CRC-32 of
  * the body, then the body: a (image, layout) fingerprint and the
- * length-prefixed sections. Loading verifies the CRC before parsing
+ * length-prefixed sections. The byte after the counters held the
+ * position on a retired degradation ladder: it is written as 0, and a
+ * snapshot with any other value is refused, because its frontier was
+ * explored under that rung. Loading verifies the CRC before parsing
  * anything, so bad magic, unknown versions, truncation and arbitrary
  * bit flips all surface as one RecoverableError — callers are expected
  * to fall back to a fresh run, never to crash or trust a corrupt
@@ -53,11 +57,8 @@ struct EngineCheckpoint
     uint64_t merges = 0;
     uint64_t subsumptions = 0;
 
-    /** Ladder position; re-applied to the config on resume. */
-    DegradeLevel level = DegradeLevel::None;
-
     /**
-     * Escalations so far. The PartialStop record of the interruption
+     * Degradations so far. The PartialStop record of the interruption
      * itself is deliberately *not* serialized: once resumed to
      * completion, the stop cost no coverage.
      */

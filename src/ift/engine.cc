@@ -21,13 +21,7 @@ namespace glifs
 bool
 EngineResult::degradedUnsound() const
 {
-    for (const Degradation &d : degradations) {
-        if (d.level == DegradeLevel::StarLogicPath ||
-            d.level == DegradeLevel::PartialStop) {
-            return true;
-        }
-    }
-    return false;
+    return !degradations.empty();
 }
 
 bool
@@ -52,16 +46,6 @@ EngineResult::verdict() const
     if (completed && !starAborted && !degradedUnsound())
         return Verdict::Secure;
     return Verdict::UnknownDegraded;
-}
-
-bool
-EngineResult::onlyFixable() const
-{
-    for (const Violation &v : violations) {
-        if (violationIsError(v.kind))
-            return false;
-    }
-    return completed && !starAborted;
 }
 
 std::string
@@ -120,7 +104,6 @@ struct RunCtx
     /** Tainted and total gates after the *-logic give-up. */
     std::pair<size_t, size_t> starGates;
 
-    DegradeLevel level = DegradeLevel::None;
     std::vector<Degradation> degradations;
 
     RunCtx(const Soc &s, const Policy &p, const EngineConfig &c,
@@ -132,13 +115,11 @@ struct RunCtx
 
     void
     recordDegradation(DegradeLevel lvl, ResourceKind trigger,
-                      BudgetSeverity severity, uint16_t instr_addr,
-                      std::string detail)
+                      uint16_t instr_addr, std::string detail)
     {
         Degradation d;
         d.level = lvl;
         d.trigger = trigger;
-        d.severity = severity;
         d.cycle = totalCycles;
         d.instrAddr = instr_addr;
         d.detail = std::move(detail);
@@ -147,40 +128,9 @@ struct RunCtx
             "engine", "degrade",
             add("level", degradeLevelName(lvl))
                 .add("trigger", resourceKindName(trigger))
-                .add("severity",
-                     severity == BudgetSeverity::Hard ? "hard"
-                                                      : "soft")
                 .add("cycle", totalCycles)
                 .add("instr", hex16(instr_addr)));
         degradations.push_back(std::move(d));
-    }
-
-    /** Outcome of a soft-budget escalation. */
-    enum class Escalation
-    {
-        Widened,  ///< merging widened; the path continues
-        KillPath, ///< hand the current path to the *-logic abstraction
-    };
-
-    /**
-     * Climb one rung of the degradation ladder: first widen merging
-     * (drop the precise CFG successors so the bit-wise superset feeds
-     * the state table), then give the offending path to *-logic.
-     */
-    Escalation
-    escalate(const BudgetEvent &ev, uint16_t instr_addr)
-    {
-        if (level == DegradeLevel::None) {
-            level = DegradeLevel::WidenedMerging;
-            ps.cfg.preciseJumpTargets = false;
-            recordDegradation(DegradeLevel::WidenedMerging, ev.kind,
-                              ev.severity, instr_addr, ev.detail);
-            return Escalation::Widened;
-        }
-        level = DegradeLevel::StarLogicPath;
-        recordDegradation(DegradeLevel::StarLogicPath, ev.kind,
-                          ev.severity, instr_addr, ev.detail);
-        return Escalation::KillPath;
     }
 
     void
@@ -191,11 +141,10 @@ struct RunCtx
     }
 
     /**
-     * Resource governance before every simulated cycle: soft
-     * exhaustion degrades in place; hard exhaustion stops with a
-     * partial result (and a resumable snapshot of the frontier) --
-     * never a fatal. The degradation record reads the executing
-     * instruction out of the simulator.
+     * Resource governance before every simulated cycle: exhaustion
+     * stops with a partial result (and a resumable snapshot of the
+     * frontier) -- never a fatal. The degradation record reads the
+     * executing instruction out of the simulator.
      */
     CycleAction
     pollBudgets(uint32_t node)
@@ -204,23 +153,14 @@ struct RunCtx
         if (!ev)
             return CycleAction::Continue;
         const uint16_t at = ps.tryBusValue(ps.soc.probes().instrAddrQ);
-        if (ev->severity == BudgetSeverity::Hard) {
-            recordDegradation(DegradeLevel::PartialStop, ev->kind,
-                              ev->severity, at, ev->detail);
-            budgetHit = true;
-            endPath(node, PathEnd::Budget, at);
-            return CycleAction::Stop;
-        }
-        if (escalate(*ev, at) == Escalation::KillPath) {
-            // *-logic the offending path: the caller saturates it to
-            // tainted-X and terminates it conservatively.
-            endPath(node, PathEnd::Degraded, at);
-            return CycleAction::Kill;
-        }
-        return CycleAction::Continue;
+        recordDegradation(DegradeLevel::PartialStop, ev->kind, at,
+                          ev->detail);
+        budgetHit = true;
+        endPath(node, PathEnd::Budget, at);
+        return CycleAction::Stop;
     }
 
-    /** Hard stop mid-path: park the in-flight state back on the
+    /** Budget stop mid-path: park the in-flight state back on the
      *  frontier so the snapshot resumes it; it will be popped (and
      *  counted) again. */
     void
@@ -283,7 +223,7 @@ struct RunCtx
     /**
      * Fold one segment into the run in the order its cycles happened:
      * taint, violations (rebased onto the global clock), POR forks,
-     * then the segment end -- budget stop or kill, *-logic give-up,
+     * then the segment end -- budget stop, *-logic give-up,
      * HALT, or the commit's state-table visit followed by PC fan-out
      * or continuation. The simulator still holds the segment's end
      * state.
@@ -309,12 +249,6 @@ struct RunCtx
                 {std::move(f.fired), tree.addNode(node, f.startPc)});
         }
 
-        if (seg.killed) {
-            // starSaturate overwrites every flop, memory cell and
-            // input before settling: it reads no simulator state.
-            ps.starSaturate(&everTainted);
-            return;
-        }
         if (seg.stopped) {
             park(std::move(seg.end), node);
             return;
@@ -375,27 +309,15 @@ struct RunCtx
             stack.push_back({std::move(end), node, true});
             return;
         }
-        // Soft branch-fanout threshold: a wide unknown-PC branch
-        // escalates the ladder before enumerating.
-        if (ps.cfg.budgets.softBranchBits &&
-            pc_xbits > ps.cfg.budgets.softBranchBits &&
-            level == DegradeLevel::None) {
-            escalate({ResourceKind::BranchFanout, BudgetSeverity::Soft,
-                      detail::concat(pc_xbits, " unknown PC bits at ",
-                                     hex16(instr_addr))},
-                     instr_addr);
-        }
-
         bool overflow = false;
         std::vector<uint16_t> pcs =
             ps.candidatePcs(instr_addr, end, overflow);
         if (overflow) {
-            // Hard fanout exhaustion: unbounded indirect control flow.
+            // Fanout exhaustion: unbounded indirect control flow.
             // Degrade the path to the *-logic abstraction instead of
             // aborting the analysis.
             recordDegradation(DegradeLevel::StarLogicPath,
-                              ResourceKind::BranchFanout,
-                              BudgetSeverity::Hard, instr_addr,
+                              ResourceKind::BranchFanout, instr_addr,
                               detail::concat(
                                   pc_xbits, " unknown PC bits exceed ",
                                   ps.cfg.maxBranchBits,
@@ -445,8 +367,8 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
             .count();
     };
 
-    // Fold the legacy cycle budget into the governed budgets as a hard
-    // cycle budget (keeping the smaller of the two if both are set).
+    // Fold the cycle budget into the governed budgets (keeping the
+    // smaller of the two if both are set).
     EngineConfig effective = cfg;
     if (effective.maxCycles > 0 &&
         (effective.budgets.hardCycles == 0 ||
@@ -485,9 +407,6 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
         ctx.gov.chargeCycles(resume->totalCycles);
         ctx.pathsExplored = resume->pathsExplored;
         ctx.branchPoints = resume->branchPoints;
-        ctx.level = resume->level;
-        if (ctx.level >= DegradeLevel::WidenedMerging)
-            ctx.ps.cfg.preciseJumpTargets = false;
         ctx.degradations = resume->degradations;
         for (const Violation &v : resume->violations)
             ctx.log.restore(v);
@@ -548,7 +467,6 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
         ckpt->branchPoints = ctx.branchPoints;
         ckpt->merges = ctx.table.merges();
         ckpt->subsumptions = ctx.table.subsumptions();
-        ckpt->level = ctx.level;
         // The PartialStop record of this very stop is not carried
         // over: resumed to completion, it cost no coverage.
         for (const Degradation &d : ctx.degradations) {

@@ -49,28 +49,28 @@ struct EngineCheckpoint;
 /** Engine knobs. */
 struct EngineConfig
 {
-    /** Total simulated-cycle budget across all paths (a hard budget;
-     *  folded into ResourceBudgets::hardCycles). */
+    /** Total simulated-cycle budget across all paths (folded into
+     *  ResourceBudgets::hardCycles; the smaller of the two wins). */
     uint64_t maxCycles = 2'000'000;
 
     /**
      * Max unknown PC bits enumerated at a branch. Exceeding it is a
-     * hard branch-fanout exhaustion: the offending path is saturated
-     * to the *-logic abstraction and terminated (recorded as a
-     * degradation), so long runs always produce a report.
+     * branch-fanout exhaustion: the offending path is saturated to the
+     * *-logic abstraction and terminated (recorded as a degradation),
+     * so long runs always produce a report.
      */
     unsigned maxBranchBits = 8;
 
     /**
-     * Resource budgets polled every simulated cycle. Soft exhaustion
-     * escalates the degradation ladder in place; hard exhaustion stops
+     * Resource budgets polled every simulated cycle. Exhaustion stops
      * the run with a structured partial result (and a checkpoint when
-     * checkpointOnStop is set). All default to disabled.
+     * checkpointOnStop is set); it never changes how the run explores.
+     * All default to disabled.
      */
     ResourceBudgets budgets;
 
     /**
-     * On hard exhaustion, snapshot the state table + frontier into
+     * On budget exhaustion, snapshot the state table + frontier into
      * EngineResult::checkpoint so the run can be resumed later.
      */
     bool checkpointOnStop = false;
@@ -146,11 +146,11 @@ struct EngineResult
     /** The pruned execution tree (diagnostics / Figure 7 rendering). */
     ExecTree tree;
 
-    /** Every escalation of the degradation ladder, in order. */
+    /** Every degradation of the run, in order. */
     std::vector<Degradation> degradations;
 
     /**
-     * Snapshot of the paused run, set on hard budget exhaustion when
+     * Snapshot of the paused run, set on budget exhaustion when
      * EngineConfig::checkpointOnStop is enabled (shared_ptr so
      * EngineResult stays copyable).
      */
@@ -162,14 +162,14 @@ struct EngineResult
      * a tainted task may taint its own PC without breaking
      * non-interference as long as the taint never reaches untainted
      * code, memory partitions, trusted ports or the watchdog (all of
-     * which are separate violation kinds). A run that degraded past
-     * WidenedMerging (some coverage handed to the *-logic
-     * abstraction, or exploration stopped early) can never be secure.
+     * which are separate violation kinds). A degraded run (some
+     * coverage handed to the *-logic abstraction, or exploration
+     * stopped early) can never be secure.
      */
     bool secure() const;
 
-    /** Did any degradation forfeit verification completeness? Widened
-     *  merging alone stays a full (if less precise) verification. */
+    /** Did any degradation forfeit verification completeness? Every
+     *  rung does. */
     bool degradedUnsound() const;
 
     /**
@@ -180,9 +180,6 @@ struct EngineResult
      * secure" answer.
      */
     Verdict verdict() const;
-
-    /** True if only watchdog/mask-fixable warnings were found. */
-    bool onlyFixable() const;
 
     std::string summary() const;
 };
@@ -201,9 +198,9 @@ class IftEngine
      * Run the full analysis of a program image, optionally continuing
      * from a checkpoint taken by an earlier (interrupted) run of the
      * same image on the same SoC. Throws RecoverableError if the
-     * checkpoint does not match. Resuming an unmodified snapshot
-     * reproduces the uninterrupted run's counters and violations
-     * exactly.
+     * checkpoint does not match. Resuming an unmodified snapshot to
+     * completion reproduces the uninterrupted run's counters,
+     * violations and verdict exactly.
      */
     EngineResult run(const ProgramImage &image,
                      const EngineCheckpoint *resume = nullptr);

@@ -37,7 +37,7 @@ struct EngineStats
     stats::Gauge frontierPeak{"engine.frontier_peak",
                               "pending execution points"};
     stats::Scalar escalations{"engine.escalations",
-                              "degradation-ladder escalations"};
+                              "degradations recorded"};
     stats::Scalar starSaturations{"engine.star_saturations",
                                   "paths saturated to *-logic"};
     stats::Gauge setupSeconds{"engine.setup_seconds",

@@ -28,14 +28,12 @@ constexpr uint64_t kRssSampleInterval = 512;
 /** Check the heartbeat clock only every this many polls. */
 constexpr uint64_t kHeartbeatCheckInterval = 64;
 
-/** Budget/ladder counters (docs/OBSERVABILITY.md). */
+/** Budget counters (docs/OBSERVABILITY.md). */
 struct GovernorStats
 {
     stats::Scalar polls{"governor.polls", "per-cycle budget polls"};
-    stats::Scalar softEvents{"governor.soft_events",
-                             "soft thresholds crossed"};
     stats::Scalar hardEvents{"governor.hard_events",
-                             "hard budget exhaustions"};
+                             "budget exhaustions"};
     stats::Scalar heartbeats{"governor.heartbeats",
                              "progress heartbeats fired"};
     stats::Gauge rssBytes{"governor.rss_bytes",
@@ -109,7 +107,6 @@ degradeLevelName(DegradeLevel level)
 {
     switch (level) {
       case DegradeLevel::None: return "none";
-      case DegradeLevel::WidenedMerging: return "widened-merging";
       case DegradeLevel::StarLogicPath: return "star-logic-path";
       case DegradeLevel::PartialStop: return "partial-stop";
     }
@@ -132,7 +129,6 @@ Degradation::str() const
 {
     std::string s = degradeLevelName(level);
     s += " (";
-    s += severity == BudgetSeverity::Hard ? "hard " : "soft ";
     s += resourceKindName(trigger);
     s += ") at cycle ";
     s += std::to_string(cycle);
@@ -143,14 +139,6 @@ Degradation::str() const
         s += detail;
     }
     return s;
-}
-
-bool
-ResourceBudgets::any() const
-{
-    return softCycles || hardCycles || softSeconds > 0 ||
-           hardSeconds > 0 || softStates || hardStates ||
-           softRssBytes || hardRssBytes || softBranchBits;
 }
 
 ResourceGovernor::ResourceGovernor(const ResourceBudgets &b)
@@ -205,75 +193,32 @@ ResourceGovernor::clearGlobalStop()
 }
 
 std::optional<BudgetEvent>
-ResourceGovernor::hardEvent()
+ResourceGovernor::exhaustion()
 {
-    if (globalStopRequested()) {
-        return BudgetEvent{ResourceKind::Interrupt, BudgetSeverity::Hard,
+    if (globalStopRequested())
+        return BudgetEvent{ResourceKind::Interrupt,
                            "external stop requested"};
-    }
     if (budgets.hardCycles && cycleCount >= budgets.hardCycles) {
-        return BudgetEvent{
-            ResourceKind::Cycles, BudgetSeverity::Hard,
-            std::to_string(cycleCount) + " simulated cycles"};
+        return BudgetEvent{ResourceKind::Cycles,
+                           std::to_string(cycleCount) +
+                               " simulated cycles"};
     }
-    if (budgets.hardSeconds > 0) {
-        double t = elapsedSeconds();
-        if (t >= budgets.hardSeconds) {
-            return BudgetEvent{ResourceKind::WallClock,
-                               BudgetSeverity::Hard,
-                               "deadline of " +
-                                   std::to_string(budgets.hardSeconds) +
-                                   "s expired"};
-        }
+    if (budgets.hardSeconds > 0 &&
+        elapsedSeconds() >= budgets.hardSeconds) {
+        return BudgetEvent{ResourceKind::WallClock,
+                           "deadline of " +
+                               std::to_string(budgets.hardSeconds) +
+                               "s expired"};
     }
     if (budgets.hardStates && stateCount >= budgets.hardStates) {
-        return BudgetEvent{
-            ResourceKind::TrackedStates, BudgetSeverity::Hard,
-            std::to_string(stateCount) + " tracked states"};
+        return BudgetEvent{ResourceKind::TrackedStates,
+                           std::to_string(stateCount) +
+                               " tracked states"};
     }
     if (budgets.hardRssBytes && sampledRss >= budgets.hardRssBytes) {
-        return BudgetEvent{
-            ResourceKind::Memory, BudgetSeverity::Hard,
-            std::to_string(sampledRss >> 20) + " MiB resident"};
-    }
-    return std::nullopt;
-}
-
-std::optional<BudgetEvent>
-ResourceGovernor::softEvent()
-{
-    auto fire = [&](ResourceKind kind,
-                    std::string detail) -> std::optional<BudgetEvent> {
-        size_t idx = static_cast<size_t>(kind);
-        if (softFired[idx])
-            return std::nullopt;
-        softFired[idx] = true;
-        return BudgetEvent{kind, BudgetSeverity::Soft,
-                           std::move(detail)};
-    };
-
-    if (budgets.softCycles && cycleCount >= budgets.softCycles &&
-        !softFired[static_cast<size_t>(ResourceKind::Cycles)]) {
-        return fire(ResourceKind::Cycles,
-                    std::to_string(cycleCount) + " simulated cycles");
-    }
-    if (budgets.softSeconds > 0 &&
-        !softFired[static_cast<size_t>(ResourceKind::WallClock)] &&
-        elapsedSeconds() >= budgets.softSeconds) {
-        return fire(ResourceKind::WallClock,
-                    "soft deadline of " +
-                        std::to_string(budgets.softSeconds) +
-                        "s expired");
-    }
-    if (budgets.softStates && stateCount >= budgets.softStates &&
-        !softFired[static_cast<size_t>(ResourceKind::TrackedStates)]) {
-        return fire(ResourceKind::TrackedStates,
-                    std::to_string(stateCount) + " tracked states");
-    }
-    if (budgets.softRssBytes && sampledRss >= budgets.softRssBytes &&
-        !softFired[static_cast<size_t>(ResourceKind::Memory)]) {
-        return fire(ResourceKind::Memory,
-                    std::to_string(sampledRss >> 20) + " MiB resident");
+        return BudgetEvent{ResourceKind::Memory,
+                           std::to_string(sampledRss >> 20) +
+                               " MiB resident"};
     }
     return std::nullopt;
 }
@@ -350,45 +295,35 @@ std::optional<BudgetEvent>
 ResourceGovernor::poll()
 {
     maybeHeartbeat();
-    if (hardFired)
+    if (fired)
         return std::nullopt;
     ++pollCount;
     ++govStats().polls;
-    if ((budgets.softRssBytes || budgets.hardRssBytes ||
-         heartbeatPeriod > 0) &&
+    if ((budgets.hardRssBytes || heartbeatPeriod > 0) &&
         pollCount % kRssSampleInterval == 1) {
         sampledRss = currentRssBytes();
         govStats().rssBytes.set(static_cast<double>(sampledRss));
     }
-    auto traced = [](BudgetEvent ev) {
-        GovernorStats &gs = govStats();
-        const bool hard = ev.severity == BudgetSeverity::Hard;
-        if (hard)
-            ++gs.hardEvents;
-        else
-            ++gs.softEvents;
-        GLIFS_TRACE_INSTANT_ARGS(
-            "governor", hard ? "hard_budget" : "soft_budget",
-            add("kind", resourceKindName(ev.kind))
-                .add("detail", ev.detail));
-        telemetry::Writer &w = telemetry::Writer::instance();
-        if (w.enabled()) {
-            telemetry::Event te;
-            te.type = telemetry::EventType::BudgetUsage;
-            te.resource = resourceKindName(ev.kind);
-            te.severity = hard ? "hard" : "soft";
-            te.detail = ev.detail;
-            w.emit(te);
-        }
-        return ev;
-    };
-    if (auto ev = hardEvent()) {
-        hardFired = true;
-        return traced(std::move(*ev));
+    std::optional<BudgetEvent> ev = exhaustion();
+    if (!ev)
+        return std::nullopt;
+    fired = true;
+    ++govStats().hardEvents;
+    GLIFS_TRACE_INSTANT_ARGS("governor", "hard_budget",
+                             add("kind", resourceKindName(ev->kind))
+                                 .add("detail", ev->detail));
+    telemetry::Writer &w = telemetry::Writer::instance();
+    if (w.enabled()) {
+        telemetry::Event te;
+        te.type = telemetry::EventType::BudgetUsage;
+        te.resource = resourceKindName(ev->kind);
+        // The wire format keeps its severity field; every budget
+        // event is an exhaustion.
+        te.severity = "hard";
+        te.detail = ev->detail;
+        w.emit(te);
     }
-    if (auto ev = softEvent())
-        return traced(std::move(*ev));
-    return std::nullopt;
+    return ev;
 }
 
 } // namespace glifs

@@ -6,18 +6,18 @@
  * The paper's analysis must conservatively cover *all* executions, and
  * on real workloads the exploration can blow past any cycle, time or
  * memory budget. A production verification service must degrade
- * soundly instead of aborting: every budget has a soft threshold (the
- * engine escalates its degradation ladder and keeps going) and a hard
- * threshold (the engine stops, snapshots its frontier, and returns a
- * structured partial result). The three-valued verdict makes the
- * degraded outcome a first-class answer: "Unknown-degraded" still
- * soundly means "not verified secure".
+ * soundly instead of aborting: an exhausted budget stops the run,
+ * which snapshots its frontier and returns a structured partial
+ * result. A budget never changes how the run explores, so resuming
+ * the snapshot reproduces the run that was never stopped. The
+ * three-valued verdict makes the degraded outcome a first-class
+ * answer: "Unknown-degraded" still soundly means "not verified
+ * secure".
  */
 
 #ifndef GLIFS_IFT_GOVERNOR_HH
 #define GLIFS_IFT_GOVERNOR_HH
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -41,47 +41,23 @@ enum class ResourceKind : uint8_t
 /** Printable name of a resource kind. */
 const char *resourceKindName(ResourceKind kind);
 
-/** How far past a budget the analysis is. */
-enum class BudgetSeverity : uint8_t
-{
-    Soft, ///< threshold crossed: degrade in place, keep exploring
-    Hard, ///< budget exhausted: stop with a structured partial result
-};
-
-/** One threshold crossing reported by ResourceGovernor::poll(). */
+/** One budget exhaustion reported by ResourceGovernor::poll(). */
 struct BudgetEvent
 {
     ResourceKind kind;
-    BudgetSeverity severity;
     std::string detail;
 };
 
 /**
- * Per-dimension budgets. A value of 0 disables that threshold; soft
- * thresholds should be below their hard counterparts. The engine's
- * legacy EngineConfig::maxCycles is folded in as a hard cycle budget.
+ * Per-dimension budgets; a value of 0 disables that budget. The
+ * engine's EngineConfig::maxCycles is folded in as the cycle budget.
  */
 struct ResourceBudgets
 {
-    uint64_t softCycles = 0;
     uint64_t hardCycles = 0;
-    double softSeconds = 0.0;
     double hardSeconds = 0.0;
-    size_t softStates = 0;
     size_t hardStates = 0;
-    size_t softRssBytes = 0;
     size_t hardRssBytes = 0;
-
-    /**
-     * Soft branch-fanout threshold: an unknown-PC branch wider than
-     * this many X bits escalates the degradation ladder (the hard
-     * counterpart is EngineConfig::maxBranchBits, which *-logics the
-     * offending path). Checked by the engine, not by poll().
-     */
-    unsigned softBranchBits = 0;
-
-    /** True if any threshold is configured. */
-    bool any() const;
 };
 
 /**
@@ -97,17 +73,16 @@ struct GovernorProgress
     size_t frontier = 0;       ///< pending execution points
     size_t states = 0;         ///< conservative state-table entries
     size_t rssBytes = 0;       ///< sampled resident set size
-    /** Fraction (0..1) of the tightest configured hard budget already
-     *  spent; 0 when no hard budget is configured. */
+    /** Fraction (0..1) of the tightest configured budget already
+     *  spent; 0 when no budget is configured. */
     double budgetUsed = 0;
 };
 
 /**
  * Watches the budgets during one engine run. The engine charges
  * simulated cycles and reports the state-table size as it goes; poll()
- * is called once per simulated cycle and returns at most one *new*
- * threshold crossing (each soft threshold fires once; the first hard
- * exhaustion ends the run, so it also fires once).
+ * is called once per simulated cycle and reports the first exhaustion
+ * once (it ends the run).
  */
 class ResourceGovernor
 {
@@ -133,7 +108,7 @@ class ResourceGovernor
     /** Snapshot of the run's progress (also used by heartbeats). */
     GovernorProgress progress();
 
-    /** Check every dimension; returns a not-yet-reported crossing. */
+    /** Check every dimension; returns the first exhaustion, once. */
     std::optional<BudgetEvent> poll();
 
     /**
@@ -145,7 +120,7 @@ class ResourceGovernor
 
     /**
      * Async-signal-safe external stop request: the next poll() on any
-     * governor reports a hard Interrupt event. Wired to SIGINT/SIGTERM
+     * governor reports an Interrupt event. Wired to SIGINT/SIGTERM
      * by glifs_audit so a killed run still writes its checkpoint.
      */
     static void requestGlobalStop();
@@ -160,49 +135,41 @@ class ResourceGovernor
     size_t frontierCount = 0;
     uint64_t pollCount = 0;
     size_t sampledRss = 0;
-    std::array<bool, 6> softFired{};
-    bool hardFired = false;
+    bool fired = false;
 
     double heartbeatPeriod = 0;
     double nextHeartbeat = 0;
     ProgressFn heartbeatFn;
 
-    std::optional<BudgetEvent> hardEvent();
-    std::optional<BudgetEvent> softEvent();
+    std::optional<BudgetEvent> exhaustion();
     void maybeHeartbeat();
 };
 
 /**
- * Rungs of the in-place degradation ladder. Each escalation trades
- * precision for resources while keeping the analysis sound:
- * WidenedMerging stays a complete verification (it may only report
- * spurious violations); StarLogicPath and PartialStop leave part of
- * the execution space covered only by the conservative *-logic
- * abstraction, so a clean run can no longer be called Secure.
+ * Rungs of the degradation ladder. Both leave part of the execution
+ * space unverified, so a degraded run can never be called Secure.
+ * Neither changes how the rest of the run explores. Value 1 is
+ * reserved: it named a retired rung.
  */
 enum class DegradeLevel : uint8_t
 {
     None = 0,
-    /** Drop preciseJumpTargets: enumerate unknown-PC successors
-     *  bit-wise (a conservative superset) so more paths merge. */
-    WidenedMerging = 1,
     /** The offending path was saturated to tainted-X (*-logic,
      *  footnote 8) and terminated; coverage is conservative there. */
     StarLogicPath = 2,
-    /** Hard exhaustion: exploration stopped with a live frontier. */
+    /** A budget ran out: exploration stopped with a live frontier. */
     PartialStop = 3,
 };
 
 /** Printable name of a ladder rung. */
 const char *degradeLevelName(DegradeLevel level);
 
-/** One recorded escalation of the ladder. */
+/** One recorded degradation. */
 struct Degradation
 {
     DegradeLevel level = DegradeLevel::None;
     ResourceKind trigger = ResourceKind::Cycles;
-    BudgetSeverity severity = BudgetSeverity::Soft;
-    uint64_t cycle = 0;      ///< total simulated cycles at escalation
+    uint64_t cycle = 0;      ///< total simulated cycles at degradation
     uint16_t instrAddr = 0;  ///< instruction being executed (if known)
     std::string detail;
 

@@ -290,22 +290,13 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks,
     while (true) {
         // The governor-poll point: before the cycle's inputs are
         // driven, so budget stops are cycle-exact.
-        if (hooks.poll) {
-            CycleAction act = hooks.poll();
-            if (act == CycleAction::Stop) {
-                res.stopped = true;
-                res.end.capture(layout, sim);
-                ++engineStats().stateCaptures;
-                res.endInstr = tryBusValue(prb.instrAddrQ);
-                collect();
-                return res;
-            }
-            if (act == CycleAction::Kill) {
-                res.killed = true;
-                res.endInstr = tryBusValue(prb.instrAddrQ);
-                collect();
-                return res;
-            }
+        if (hooks.poll && hooks.poll() == CycleAction::Stop) {
+            res.stopped = true;
+            res.end.capture(layout, sim);
+            ++engineStats().stateCaptures;
+            res.endInstr = tryBusValue(prb.instrAddrQ);
+            collect();
+            return res;
         }
 
         setInputs(false);

@@ -9,8 +9,8 @@
  * frontier pop and the next state-table visit. Segments are pure
  * functions of the start state: every simulated value, violation and
  * POR fork depends only on the netlist, policy, program image and the
- * start state, never on the engine's global budgets or ladder position
- * (those only affect what the *driver* does with the segment end).
+ * start state, never on the engine's global budgets (those only decide
+ * where the *driver* stops).
  * Two pops of the same start state therefore replay the same segment
  * (DESIGN.md §10).
  *
@@ -59,7 +59,6 @@ struct SegmentResult
     bool halted = false;     ///< program reached HALT (no end state)
     bool pcUnknown = false;  ///< end state has unknown PC bits
     bool stopped = false;    ///< hook Stop: end is the in-flight state
-    bool killed = false;     ///< hook Kill: caller *-logics the path
     bool starAborted = false; ///< *-logic mode: tainted or unknown PC
 
     /** Violations observed in the segment, aggregated per (kind,
@@ -81,15 +80,14 @@ struct SegmentResult
 enum class CycleAction : uint8_t
 {
     Continue, ///< simulate the next cycle
-    Stop,     ///< hard budget: return with the in-flight state
-    Kill,     ///< ladder exhausted: return; caller star-saturates
+    Stop,     ///< budget exhausted: return with the in-flight state
 };
 
 /**
  * Optional per-cycle callbacks. `poll` runs at the governor-poll point
  * (before the cycle's inputs are driven); `cycleCharged` runs right
  * after the combinational settle, where the driver charges its cycle
- * counters. Workers only count cycles against their chain cap.
+ * counters.
  */
 struct SegmentHooks
 {
@@ -100,10 +98,7 @@ struct SegmentHooks
 /**
  * One path's symbolic simulation context: the simulator, the symbolic
  * layout, the per-cycle policy checker and every PC/branch helper of
- * Algorithm 1. The engine's degradation ladder mutates `cfg` in place
- * (preciseJumpTargets), which only changes how branch successors are
- * enumerated -- segment execution itself never reads the mutated
- * knobs, preserving segment purity.
+ * Algorithm 1.
  */
 class PathSim
 {
@@ -113,7 +108,7 @@ class PathSim
 
     const Soc &soc;
     const Policy &policy;
-    EngineConfig cfg; ///< by value: the ladder mutates it in place
+    const EngineConfig cfg;
     const ProgramImage &image;
 
     Simulator sim;
@@ -182,12 +177,12 @@ class PathSim
     /**
      * Run one segment from @p start: restore it, then simulate cycle
      * by cycle until the next PC-changing commit / unknown PC / HALT /
-     * *-logic give-up, or until a hook says Stop or Kill. The simulator
-     * is left in the segment's final in-flight state (Kill callers
-     * star-saturate it; Stop callers already got it captured in
-     * SegmentResult::end). @p cycleBase is the absolute cycle before
-     * the segment's first: the checker logs and traces on that clock,
-     * and the returned violations are rebased to segment-relative.
+     * *-logic give-up, or until a hook says Stop. The simulator is
+     * left in the segment's final in-flight state (Stop callers
+     * already got it captured in SegmentResult::end). @p cycleBase is
+     * the absolute cycle before the segment's first: the checker logs
+     * and traces on that clock, and the returned violations are
+     * rebased to segment-relative.
      */
     SegmentResult runSegment(const SymState &start,
                              const SegmentHooks &hooks = {},

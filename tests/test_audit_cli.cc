@@ -6,8 +6,9 @@
  * flagless run on exit code, verdict, the `analysis` section and every
  * stat that does not measure the host, on every workload (the 13
  * kernels plus MiniRTOS under its own labels). `--explore-jobs 0` and
- * the retired worker-mode flag are usage errors. The trace carries
- * every POR fork on the absolute clock.
+ * the retired worker-mode and retry flags are usage errors. The trace
+ * carries every POR fork on the absolute clock. A budget only stops
+ * the audit: resuming its checkpoint gives the flagless audit.
  */
 
 #include <gtest/gtest.h>
@@ -112,6 +113,7 @@ struct AuditRun
 {
     int exitCode = -1;
     std::string report; ///< raw glifs.run_report.v1 JSON
+    std::string out;    ///< stdout
 };
 
 /** One glifs_audit run; @p target is the firmware plus any label
@@ -123,14 +125,15 @@ runAudit(const std::string &dir, const std::string &target,
     static unsigned seq = 0;
     const std::string tag = std::to_string(++seq);
     const std::string reportFile = dir + "/report." + tag + ".json";
+    const std::string outFile = dir + "/stdout." + tag + ".log";
     std::ostringstream cmd;
     cmd << GLIFS_AUDIT_BIN << " " << target << " --stats-json "
-        << reportFile << " " << flags << " < /dev/null > " << dir
-        << "/stdout." << tag << ".log 2> " << dir << "/stderr." << tag
-        << ".log";
+        << reportFile << " " << flags << " < /dev/null > " << outFile
+        << " 2> " << dir << "/stderr." << tag << ".log";
     AuditRun r;
     r.exitCode = runCmd(cmd.str());
     r.report = readFile(reportFile);
+    r.out = readFile(outFile);
     return r;
 }
 
@@ -322,16 +325,71 @@ TEST(ExploreParity, JobsOneIsTheSerialEngine)
     }
 }
 
-/** A job count below 1 and the retired worker mode are usage
- *  errors (exit 3), not silently ignored. */
+/** A job count below 1, the retired worker mode and the retired
+ *  *-logic retry switch are usage errors (exit 3), not silently
+ *  ignored. */
 TEST(ExploreParity, BadJobCountAndWorkerModeAreUsageErrors)
 {
     const std::string dir = tempDir("usage");
     const std::string asmFile = materializeWorkload(dir, "tHold");
-    for (const char *flag : {"--explore-jobs 0", "--explore-worker"}) {
+    for (const char *flag :
+         {"--explore-jobs 0", "--explore-worker", "--no-retry"}) {
         SCOPED_TRACE(flag);
         EXPECT_EQ(runAudit(dir, asmFile, flag).exitCode, 3);
     }
+    std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------------------------
+// Budgets only stop the audit.
+// ------------------------------------------------------------------
+
+size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    size_t n = 0;
+    for (size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
+/** rtos_protected stopped at half its cycles by --max-cycles, with a
+ *  checkpoint, then resumed: the stop reports the one engine run it
+ *  made and the budget it spent, and the resumed audit is the flagless
+ *  one. */
+TEST(AuditBudget, StoppedRunResumesToTheFlaglessRun)
+{
+    const std::string dir = tempDir("stop_resume");
+    const std::string target = materialize(dir, "rtos_protected");
+    const std::string ckpt = dir + "/stop.ckpt";
+    const AuditRun flagless = runAudit(dir, target);
+    ASSERT_FALSE(flagless.report.empty());
+    EXPECT_EQ(flagless.exitCode, 0);
+    ASSERT_GT(jsonCounter(flagless.report, "cycles_simulated"), 23631u);
+
+    const AuditRun stop =
+        runAudit(dir, target, "--max-cycles 23631 --checkpoint " + ckpt);
+    ASSERT_FALSE(stop.report.empty());
+    EXPECT_EQ(stop.exitCode, 2);
+    const std::string analysis = jsonObject(stop.report, "analysis");
+    EXPECT_EQ(countOf(analysis, "\"level\": "), 1u);
+    EXPECT_EQ(countOf(analysis, "\"level\": \"partial-stop\""), 1u);
+    const std::string engine = jsonObject(stop.report, "engine");
+    EXPECT_EQ(jsonCounter(engine, "runs"), 1u);
+    EXPECT_EQ(jsonCounter(engine, "cycles"),
+              jsonCounter(analysis, "cycles_simulated"));
+    EXPECT_NE(stop.out.find("budget usage: cycles 23631/23631 (100%)"),
+              std::string::npos)
+        << stop.out;
+
+    const AuditRun resumed = runAudit(dir, target, "--resume " + ckpt);
+    ASSERT_FALSE(resumed.report.empty());
+    EXPECT_EQ(resumed.exitCode, flagless.exitCode);
+    EXPECT_EQ(jsonString(resumed.report, "verdict"),
+              jsonString(flagless.report, "verdict"));
+    EXPECT_EQ(normalizedAnalysis(resumed.report),
+              normalizedAnalysis(flagless.report));
     std::filesystem::remove_all(dir);
 }
 

@@ -1,18 +1,25 @@
 /**
  * @file
  * Tests of the Algorithm-1 symbolic taint-tracking engine: convergence,
- * branch exploration, conservative merging, and the Section-5.3
- * verification micro-benchmarks (Figures 8 and 9).
+ * branch exploration, conservative merging, the Section-5.3
+ * verification micro-benchmarks (Figures 8 and 9), and budget stops
+ * that resume to exactly the run never stopped.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+
 #include "assembler/assembler.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
+#include "ift/checkpoint.hh"
 #include "ift/engine.hh"
 #include "ift/rootcause.hh"
 #include "soc/soc.hh"
+#include "workloads/rtos.hh"
 #include "workloads/workload.hh"
 
 namespace glifs
@@ -452,6 +459,110 @@ TEST_F(IftTest, TracedRunEmitsEngineSpans)
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     tr.disable();
 }
+
+// ---------------------------------------------------------------------
+// Budgets only stop the run: stopped halfway with a checkpoint, saved,
+// reloaded and resumed, every workload ends exactly where the run that
+// was never stopped does.
+// ---------------------------------------------------------------------
+
+/** The 13 kernels, then both MiniRTOS builds under their own labels. */
+std::vector<std::string>
+stopResumeWorkloads()
+{
+    std::vector<std::string> names = workloadNames();
+    names.push_back("rtos_baseline");
+    names.push_back("rtos_protected");
+    return names;
+}
+
+class StopResume : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(StopResume, MatchesStraightRun)
+{
+    const std::string &name = GetParam();
+    ProgramImage image;
+    Policy policy;
+    if (name.rfind("rtos_", 0) == 0) {
+        const MicroBenchmark mb =
+            name == "rtos_baseline" ? rtosBaseline() : rtosProtected();
+        image = assembleSource(mb.source);
+        policy = mb.policy;
+    } else {
+        const Workload &w = workloadByName(name);
+        image = w.image();
+        policy = w.policy();
+    }
+    const Soc soc;
+
+    const EngineResult straight = IftEngine(soc, policy).run(image);
+    ASSERT_TRUE(straight.completed);
+    ASSERT_TRUE(straight.degradations.empty());
+
+    EngineConfig half;
+    half.maxCycles = straight.cyclesSimulated / 2;
+    half.checkpointOnStop = true;
+    const EngineResult stop = IftEngine(soc, policy, half).run(image);
+    ASSERT_FALSE(stop.completed);
+    ASSERT_EQ(stop.degradations.size(), 1u);
+    EXPECT_EQ(stop.degradations[0].level, DegradeLevel::PartialStop);
+    EXPECT_EQ(stop.degradations[0].trigger, ResourceKind::Cycles);
+    ASSERT_NE(stop.checkpoint, nullptr);
+
+    // What the stopped run saw, the straight run saw at the same cycle.
+    for (const Violation &v : stop.violations) {
+        SCOPED_TRACE(violationKindName(v.kind));
+        const Violation *same = nullptr;
+        for (const Violation &s : straight.violations) {
+            if (s.kind == v.kind && s.instrAddr == v.instrAddr)
+                same = &s;
+        }
+        ASSERT_NE(same, nullptr) << "instr " << v.instrAddr;
+        EXPECT_EQ(v.firstCycle, same->firstCycle);
+    }
+
+    const std::string path = ::testing::TempDir() + "stop_resume_" +
+                             name + "_" + std::to_string(::getpid()) +
+                             ".ckpt";
+    stop.checkpoint->save(path);
+    const EngineCheckpoint loaded = EngineCheckpoint::load(path);
+    std::remove(path.c_str());
+    const EngineResult resumed =
+        IftEngine(soc, policy).run(image, &loaded);
+
+    EXPECT_TRUE(resumed.completed);
+    EXPECT_EQ(resumed.starAborted, straight.starAborted);
+    EXPECT_EQ(resumed.verdict(), straight.verdict());
+    EXPECT_EQ(resumed.cyclesSimulated, straight.cyclesSimulated);
+    EXPECT_EQ(resumed.pathsExplored, straight.pathsExplored);
+    EXPECT_EQ(resumed.branchPoints, straight.branchPoints);
+    EXPECT_EQ(resumed.merges, straight.merges);
+    EXPECT_EQ(resumed.subsumptions, straight.subsumptions);
+    EXPECT_EQ(resumed.statesTracked, straight.statesTracked);
+    EXPECT_EQ(resumed.taintedGates, straight.taintedGates);
+    EXPECT_EQ(resumed.totalGates, straight.totalGates);
+    EXPECT_TRUE(resumed.degradations.empty());
+    ASSERT_EQ(resumed.violations.size(), straight.violations.size());
+    for (size_t i = 0; i < straight.violations.size(); ++i) {
+        const Violation &a = resumed.violations[i];
+        const Violation &b = straight.violations[i];
+        SCOPED_TRACE(b.detail);
+        EXPECT_EQ(a.kind, b.kind);
+        EXPECT_EQ(a.instrAddr, b.instrAddr);
+        EXPECT_EQ(a.firstCycle, b.firstCycle);
+        EXPECT_EQ(a.count, b.count);
+        EXPECT_EQ(a.maskable, b.maskable);
+        EXPECT_EQ(a.detail, b.detail);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, StopResume, ::testing::ValuesIn(stopResumeWorkloads()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 } // namespace
 } // namespace glifs

@@ -247,8 +247,8 @@ TEST(TelemetryFraming, BodyBitFlipCostsOnlyThatFrame)
 }
 
 /** Type codes without a decoder stay reserved (5 was a retired type):
- *  a well-formed frame of one costs only that frame, counted with the
- *  undecodable ones, and the stream decodes on around it. */
+ *  a well-formed frame of one is skipped without counting it as
+ *  damage, and the stream decodes on around it. */
 TEST(TelemetryFraming, ReservedTypeCostsOnlyThatFrame)
 {
     // u32 len | u8 type | payload | u32 crc32(type + payload), built
@@ -282,13 +282,40 @@ TEST(TelemetryFraming, ReservedTypeCostsOnlyThatFrame)
     EXPECT_FALSE(r.finish());
     EXPECT_FALSE(r.poisoned());
     EXPECT_EQ(r.tornFrames(), 0u);
-    EXPECT_EQ(r.crcErrors(), 1u);
+    // The frame is intact (its CRC covers the type byte): skipped, not
+    // counted as pipe damage.
+    EXPECT_EQ(r.crcErrors(), 0u);
     EXPECT_EQ(r.frames(), 2u);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].type, EventType::Heartbeat);
     EXPECT_EQ(out[0].cycles, 123456u);
     EXPECT_EQ(out[1].type, EventType::Lifecycle);
     EXPECT_EQ(out[1].verdict, "violations");
+}
+
+/** A known type whose payload does not parse is still counted: the
+ *  writer framed something it could not have written. */
+TEST(TelemetryFraming, MalformedPayloadOfAKnownTypeIsCounted)
+{
+    // A Lifecycle frame whose payload is too short for its phase
+    // string's length prefix, with a valid CRC.
+    const std::string body("\x01\x02\x00", 3);
+    auto putLe = [](std::string &out, uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    };
+    std::string frame;
+    putLe(frame, body.size() - 1, 4);
+    frame += body;
+    putLe(frame, crc32(body), 4);
+
+    Reader r;
+    std::vector<Event> out;
+    r.feed(frame.data(), frame.size(), out);
+    EXPECT_FALSE(r.finish());
+    EXPECT_EQ(r.crcErrors(), 1u);
+    EXPECT_EQ(r.frames(), 0u);
+    EXPECT_TRUE(out.empty());
 }
 
 /** An unbelievable length prefix poisons the stream: nothing after

@@ -22,6 +22,12 @@ depend on -- the batch status file, the run-report stats snapshot
 and the telemetry stream -- so a rename cannot silently break a
 dashboard.
 
+``--catalogue FILE`` checks the documented catalogue against the
+registrations in both directions: every registered name must have a
+catalogue row, and every name a row lists must be registered.  A row
+is a Markdown table row whose first cell is one backticked stat name,
+or two as ``| `a` / `b` |``.
+
 Exit code 0 when clean, 1 with one diagnostic line per offence.
 """
 
@@ -38,6 +44,9 @@ CTOR_RE = re.compile(
 )
 
 NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
+
+# A catalogue row: a table row whose first cell is `a` or `a` / `b`.
+ROW_RE = re.compile(r"^\|\s*(`[^`|]+`(?:\s*/\s*`[^`|]+`)?)\s*\|")
 
 # The documented top-level groups (docs/OBSERVABILITY.md, "Stat
 # catalogue").  A new subsystem adds its group here in the same PR
@@ -74,8 +83,23 @@ def scan(root: pathlib.Path):
         yield from scan_text(path, text)
 
 
-def lint(registrations, required):
-    """Check (where, name) pairs; return (errors, total, unique)."""
+def catalogue_rows(path, text):
+    """Yield (where, stat_name) for every name a catalogue row lists.
+    Rows whose first cell is not made of stat names (other tables)
+    are not catalogue rows."""
+    for line_no, line in enumerate(text.splitlines(), 1):
+        m = ROW_RE.match(line)
+        if not m:
+            continue
+        names = re.findall(r"`([^`]+)`", m.group(1))
+        if all(NAME_RE.fullmatch(n) for n in names):
+            for name in names:
+                yield f"{path}:{line_no}", name
+
+
+def lint(registrations, required, catalogue=None):
+    """Check (where, name) pairs, and against the (where, name) rows
+    of @p catalogue when given; return (errors, total, unique)."""
     errors = []
     seen = {}
     total = 0
@@ -105,37 +129,65 @@ def lint(registrations, required):
                 f"--require {name}: not registered anywhere "
                 "(renamed or removed? external surfaces depend on it)"
             )
+    if catalogue is not None:
+        documented = {name for _, name in catalogue}
+        for name, where in seen.items():
+            if name not in documented:
+                errors.append(
+                    f"{where}: stat name {name!r} has no catalogue row"
+                )
+        for where, name in catalogue:
+            if name not in seen:
+                errors.append(
+                    f"{where}: catalogue lists {name!r}, which is not "
+                    "registered (renamed or removed?)"
+                )
     return errors, total, len(seen)
 
 
 def self_test() -> int:
     """The lint's own failure paths must actually fail."""
     cases = [
-        # (source text, required, substring expected in an error)
-        ('stats::Scalar a{"Engine.cycles", ""};', [],
+        # (source text, required, catalogue text or None, substring
+        # expected in an error)
+        ('stats::Scalar a{"Engine.cycles", ""};', [], None,
          "not dotted-lowercase"),
-        ('stats::Scalar a{"nodots", ""};', [],
+        ('stats::Scalar a{"nodots", ""};', [], None,
          "not dotted-lowercase"),
-        ('stats::Scalar a{"telemtry.frames_written", ""};', [],
+        ('stats::Scalar a{"telemtry.frames_written", ""};', [], None,
          "unknown top-level group"),
         ('stats::Scalar a{"engine.cycles", ""};\n'
-         'stats::Gauge b{"engine.cycles", ""};', [],
+         'stats::Gauge b{"engine.cycles", ""};', [], None,
          "already registered"),
         ('stats::Scalar a{"engine.cycles", ""};',
-         ["trace.dropped_events"], "not registered anywhere"),
+         ["trace.dropped_events"], None, "not registered anywhere"),
+        ('stats::Scalar a{"engine.cycles", ""};\n'
+         'stats::Scalar b{"engine.paths", ""};', [],
+         "| `engine.cycles` | Scalar | cycles |\n",
+         "has no catalogue row"),
+        ('stats::Scalar a{"engine.cycles", ""};', [],
+         "| `engine.cycles` / `engine.removed` | Scalar | x |\n",
+         "which is not registered"),
     ]
     failures = 0
-    for i, (text, required, expect) in enumerate(cases):
-        errors, _, _ = lint(scan_text("<self-test>", text), required)
+    for i, (text, required, cat, expect) in enumerate(cases):
+        rows = None if cat is None else list(
+            catalogue_rows("<self-test>", cat))
+        errors, _, _ = lint(scan_text("<self-test>", text), required,
+                            rows)
         if not any(expect in e for e in errors):
             print(f"self-test case {i}: expected an error matching "
                   f"{expect!r}, got {errors}", file=sys.stderr)
             failures += 1
-    # And a clean registration must stay clean.
+    # And a clean registration must stay clean; rows of other tables
+    # are not catalogue rows.
     errors, _, _ = lint(
         scan_text("<self-test>",
                   'stats::Scalar a{"engine.cycles", ""};'),
-        ["engine.cycles"])
+        ["engine.cycles"],
+        list(catalogue_rows("<self-test>",
+                            "| `engine.cycles` | Scalar | cycles |\n"
+                            "| `engine` | `run` | span |\n")))
     if errors:
         print(f"self-test clean case: unexpected {errors}",
               file=sys.stderr)
@@ -162,6 +214,12 @@ def main() -> int:
         "names that external surfaces depend on",
     )
     ap.add_argument(
+        "--catalogue",
+        metavar="FILE",
+        help="check FILE's stat catalogue rows against the "
+        "registrations, in both directions",
+    )
+    ap.add_argument(
         "--self-test",
         action="store_true",
         help="exercise the lint's own failure paths and exit",
@@ -179,7 +237,12 @@ def main() -> int:
             errors.append(f"{root}: not a directory")
             continue
         regs.extend(scan(rootpath))
-    lint_errors, total, unique = lint(regs, args.require)
+    catalogue = None
+    if args.catalogue:
+        path = pathlib.Path(args.catalogue)
+        catalogue = list(catalogue_rows(
+            path, path.read_text(encoding="utf-8")))
+    lint_errors, total, unique = lint(regs, args.require, catalogue)
     errors.extend(lint_errors)
 
     for e in errors:

@@ -24,16 +24,17 @@
  *                      reference these names -- docs/BATCH.md), then
  *                      exit 0
  *
- * Resource governance (see docs/ROBUSTNESS.md):
- *   --deadline SECS    wall-clock budget; soft threshold at 85%
+ * Resource governance (see docs/ROBUSTNESS.md). A budget only stops
+ * the run; it never changes what the run explores:
+ *   --deadline SECS    wall-clock budget
  *   --max-cycles N     simulated-cycle budget across all paths
  *   --max-rss MB       approximate resident-memory budget
  *   --max-states N     conservative-state-table entry budget
- *   --checkpoint FILE  write a resumable snapshot when a hard budget,
- *                      the deadline, or SIGINT/SIGTERM stops the run
- *   --resume FILE      continue a snapshotted run (same firmware); an
+ *   --checkpoint FILE  write a resumable snapshot when a budget or
+ *                      SIGINT/SIGTERM stops the run
+ *   --resume FILE      continue a snapshotted run (same firmware) to
+ *                      exactly the result of a run never stopped; an
  *                      unusable snapshot warns and runs fresh
- *   --no-retry         disable the *-logic retry after degradation
  *
  * Compatibility:
  *   --explore-jobs N   accepted (N must be >= 1) and ignored: every
@@ -52,12 +53,12 @@
  *   --progress[=SECS]  one-line heartbeat to stderr about every SECS
  *                      (default 1) seconds, fired from the governor
  *                      poll point: cycles/s, frontier, states, RSS,
- *                      hard-budget %
+ *                      budget %
  *   --debug-trace      legacy alias: enable tracing and dump the
  *                      events as text to stderr at exit (in addition
  *                      to --trace-out, if given)
  *   --telemetry-fd N   stream framed telemetry events (lifecycle,
- *                      heartbeats, stats snapshots, budget crossings)
+ *                      heartbeats, stats snapshots, budget exhaustion)
  *                      over inherited fd N to a supervising scheduler
  *                      (docs/OBSERVABILITY.md, "Cross-process
  *                      telemetry"); degrades silently to a no-op when
@@ -115,8 +116,7 @@ usage()
         "[--taint-code]\n"
         "                   [--deadline SECS] [--max-cycles N] "
         "[--max-rss MB] [--max-states N]\n"
-        "                   [--checkpoint FILE] [--resume FILE] "
-        "[--no-retry]\n"
+        "                   [--checkpoint FILE] [--resume FILE]\n"
         "                   [--stats-json FILE] [--trace-out FILE] "
         "[--progress[=SECS]] [--debug-trace]\n"
         "                   [--telemetry-fd N] [--explore-jobs N]\n");
@@ -182,7 +182,6 @@ struct Options
     bool fix = false;
     bool star = false;
     bool taintCode = false;
-    bool retryDegraded = true;
     bool debugTrace = false;
     double progressSeconds = 0.0;
     int telemetryFd = -1;
@@ -265,12 +264,10 @@ writeRunReport(const std::string &path, const EngineResult &r,
             << jsonQuote(degradeLevelName(d.level))
             << ", \"trigger\": "
             << jsonQuote(resourceKindName(d.trigger))
-            << ", \"severity\": "
-            << (d.severity == BudgetSeverity::Hard ? "\"hard\""
-                                                   : "\"soft\"")
-            << ", \"cycle\": " << d.cycle << ", \"instr\": "
-            << jsonQuote(hex16(d.instrAddr)) << ", \"detail\": "
-            << jsonQuote(d.detail) << "}"
+            // `severity` stays in the v1 schema; every rung is hard.
+            << ", \"severity\": \"hard\", \"cycle\": " << d.cycle
+            << ", \"instr\": " << jsonQuote(hex16(d.instrAddr))
+            << ", \"detail\": " << jsonQuote(d.detail) << "}"
             << (i + 1 < r.degradations.size() ? "," : "") << "\n";
     }
     oss << "    ]\n"
@@ -290,7 +287,7 @@ writeRunReport(const std::string &path, const EngineResult &r,
 
 /**
  * Explain where the budget went when a run degraded: each configured
- * hard budget with its consumption (the exit-code-2 contract should
+ * budget with its consumption (the exit-code-2 contract should
  * never leave the operator guessing which resource ran out).
  */
 void
@@ -320,39 +317,6 @@ printBudgetUsage(const Options &opts, const EngineResult &r)
     if (b.hardRssBytes)
         oss << "/" << (b.hardRssBytes >> 20) << " MiB";
     std::printf("%s\n", oss.str().c_str());
-}
-
-/**
- * Run the engine; if the result is degraded/unknown and retrying is
- * allowed, fall back to the cheap *-logic configuration (footnote 8).
- * The fallback is fully conservative, so a clean *-logic completion is
- * a sound SECURE verdict that rescues the run; otherwise the original
- * (more informative) result is kept.
- */
-EngineResult
-analyzeGoverned(const Soc &soc, const Policy &policy,
-                const ProgramImage &img, const Options &opts,
-                const EngineCheckpoint *resume)
-{
-    EngineResult result =
-        IftEngine(soc, policy, opts.engineCfg).run(img, resume);
-
-    if (result.verdict() == Verdict::UnknownDegraded &&
-        opts.retryDegraded && !opts.engineCfg.starLogicMode &&
-        !ResourceGovernor::globalStopRequested()) {
-        std::printf("analysis degraded; retrying with the *-logic "
-                    "fallback configuration\n");
-        EngineConfig starCfg = opts.engineCfg;
-        starCfg.starLogicMode = true;
-        starCfg.checkpointOnStop = false;
-        EngineResult fallback =
-            IftEngine(soc, policy, starCfg).run(img);
-        std::printf("*-logic retry: %s\n",
-                    fallback.summary().c_str());
-        if (fallback.verdict() == Verdict::Secure)
-            return fallback;
-    }
-    return result;
 }
 
 int
@@ -393,8 +357,8 @@ runAudit(const Options &opts)
         }
     }
 
-    EngineResult result =
-        analyzeGoverned(soc, policy, img, opts, resume);
+    IftEngine engine(soc, policy, opts.engineCfg);
+    EngineResult result = engine.run(img, resume);
     std::printf("analysis: %s\n\n", result.summary().c_str());
     printDegradations(result);
 
@@ -441,8 +405,7 @@ runAudit(const Options &opts)
     }
     ProgramImage cur_img = assemble(cur);
     for (int round = 0; round < 4; ++round) {
-        EngineResult r =
-            analyzeGoverned(soc, policy, cur_img, opts, nullptr);
+        EngineResult r = engine.run(cur_img);
         RootCauseReport rcr = analyzeRootCauses(r, policy, &cur_img);
         if (rcr.storesToMask.empty()) {
             result = r;
@@ -457,7 +420,7 @@ runAudit(const Options &opts)
         }
         cur = mr.program;
         cur_img = assemble(cur);
-        result = analyzeGoverned(soc, policy, cur_img, opts, nullptr);
+        result = engine.run(cur_img);
     }
 
     std::string out_path = opts.path + ".secured.s";
@@ -510,8 +473,6 @@ main(int argc, char **argv)
             opts.star = true;
         else if (arg == "--taint-code")
             opts.taintCode = true;
-        else if (arg == "--no-retry")
-            opts.retryDegraded = false;
         else if (arg == "--interval")
             opts.interval = static_cast<unsigned>(nextNum()) & 3;
         else if (arg == "--deadline") {
@@ -521,30 +482,23 @@ main(int argc, char **argv)
             if (end == s.c_str() || *end != '\0' || secs <= 0)
                 usage();
             opts.engineCfg.budgets.hardSeconds = secs;
-            opts.engineCfg.budgets.softSeconds = secs * 0.85;
         } else if (arg == "--max-cycles") {
             int64_t n = nextNum();
             if (n <= 0)
                 usage();
             opts.engineCfg.maxCycles = static_cast<uint64_t>(n);
-            opts.engineCfg.budgets.softCycles =
-                static_cast<uint64_t>(n - n / 8);
         } else if (arg == "--max-rss") {
             int64_t mb = nextNum();
             if (mb <= 0)
                 usage();
             opts.engineCfg.budgets.hardRssBytes =
                 static_cast<size_t>(mb) << 20;
-            opts.engineCfg.budgets.softRssBytes =
-                (static_cast<size_t>(mb) << 20) / 8 * 7;
         } else if (arg == "--max-states") {
             int64_t n = nextNum();
             if (n <= 0)
                 usage();
             opts.engineCfg.budgets.hardStates =
                 static_cast<size_t>(n);
-            opts.engineCfg.budgets.softStates =
-                static_cast<size_t>(n - n / 8);
         } else if (arg == "--checkpoint")
             opts.checkpointPath = next();
         else if (arg == "--resume")
@@ -579,6 +533,9 @@ main(int argc, char **argv)
     if (opts.path.empty())
         usage();
 
+    // The cycle budget the engine folds in, also where the budget-usage
+    // line of a degraded run reads it.
+    opts.engineCfg.budgets.hardCycles = opts.engineCfg.maxCycles;
     opts.engineCfg.checkpointOnStop = !opts.checkpointPath.empty();
     // SIGINT and SIGTERM always request a governed stop instead of
     // dying outright: with --checkpoint the run snapshots its state
