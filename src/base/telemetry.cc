@@ -5,9 +5,8 @@
 
 #include <cerrno>
 #include <csignal>
-#include <cstring>
 
-#include "base/hash.hh"
+#include "base/bytes.hh"
 #include "base/stats.hh"
 
 namespace glifs::telemetry
@@ -37,132 +36,37 @@ writerStats()
     return s;
 }
 
-// ---------------------------------------------------------------------
-// Little-endian payload encoding (the batch journal's scheme).
-// ---------------------------------------------------------------------
-
-void
-putU8(std::string &out, uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-putU32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        putU8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::string &out, uint64_t v)
-{
-    putU32(out, static_cast<uint32_t>(v));
-    putU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void
-putStr(std::string &out, const std::string &s)
-{
-    putU32(out, static_cast<uint32_t>(s.size()));
-    out.append(s);
-}
-
-void
-putDouble(std::string &out, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(out, bits);
-}
-
-/** Bounds-checked reader: `bad` instead of exceptions, so a malformed
- *  payload is handled like a torn frame. */
-struct PayloadReader
-{
-    const std::string &buf;
-    size_t pos = 0;
-    bool bad = false;
-
-    uint8_t
-    u8()
-    {
-        if (pos + 1 > buf.size()) {
-            bad = true;
-            return 0;
-        }
-        return static_cast<uint8_t>(buf[pos++]);
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= uint32_t{u8()} << (8 * i);
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t lo = u32();
-        return lo | (uint64_t{u32()} << 32);
-    }
-
-    std::string
-    str()
-    {
-        uint32_t n = u32();
-        if (bad || pos + n > buf.size()) {
-            bad = true;
-            return "";
-        }
-        std::string s = buf.substr(pos, n);
-        pos += n;
-        return s;
-    }
-
-    double
-    real()
-    {
-        uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-};
-
 std::string
 encodePayload(const Event &e)
 {
     std::string p;
+    bytes::Writer w(p);
     switch (e.type) {
       case EventType::Lifecycle:
-        putStr(p, e.phase);
-        putU32(p, static_cast<uint32_t>(e.exitCode));
-        putStr(p, e.verdict);
+        w.str(e.phase);
+        w.u32(static_cast<uint32_t>(e.exitCode));
+        w.str(e.verdict);
         break;
       case EventType::Heartbeat:
-        putU64(p, e.cycles);
-        putDouble(p, e.elapsedSeconds);
-        putDouble(p, e.cyclesPerSec);
-        putU64(p, e.frontier);
-        putU64(p, e.states);
-        putU64(p, e.rssBytes);
-        putDouble(p, e.budgetUsed);
+        w.u64(e.cycles);
+        w.f64(e.elapsedSeconds);
+        w.f64(e.cyclesPerSec);
+        w.u64(e.frontier);
+        w.u64(e.states);
+        w.u64(e.rssBytes);
+        w.f64(e.budgetUsed);
         break;
       case EventType::StatsSnapshot:
-        putU32(p, static_cast<uint32_t>(e.stats.size()));
+        w.u32(static_cast<uint32_t>(e.stats.size()));
         for (const auto &[name, value] : e.stats) {
-            putStr(p, name);
-            putDouble(p, value);
+            w.str(name);
+            w.f64(value);
         }
         break;
       case EventType::BudgetUsage:
-        putStr(p, e.resource);
-        putStr(p, e.severity);
-        putStr(p, e.detail);
+        w.str(e.resource);
+        w.str(e.severity);
+        w.str(e.detail);
         break;
     }
     return p;
@@ -170,9 +74,9 @@ encodePayload(const Event &e)
 
 /** Decode one payload; false when the bytes do not parse. */
 bool
-decodePayload(uint8_t type, const std::string &payload, Event &out)
+decodePayload(uint8_t type, std::string_view payload, Event &out)
 {
-    PayloadReader r{payload};
+    bytes::Reader r(payload);
     switch (static_cast<EventType>(type)) {
       case EventType::Lifecycle:
         out.type = EventType::Lifecycle;
@@ -183,26 +87,21 @@ decodePayload(uint8_t type, const std::string &payload, Event &out)
       case EventType::Heartbeat:
         out.type = EventType::Heartbeat;
         out.cycles = r.u64();
-        out.elapsedSeconds = r.real();
-        out.cyclesPerSec = r.real();
+        out.elapsedSeconds = r.f64();
+        out.cyclesPerSec = r.f64();
         out.frontier = r.u64();
         out.states = r.u64();
         out.rssBytes = r.u64();
-        out.budgetUsed = r.real();
+        out.budgetUsed = r.f64();
         break;
-      case EventType::StatsSnapshot: {
+      case EventType::StatsSnapshot:
         out.type = EventType::StatsSnapshot;
-        uint32_t n = r.u32();
-        if (r.bad || n > kMaxFrame)
-            return false;
-        out.stats.reserve(n);
-        for (uint32_t i = 0; i < n && !r.bad; ++i) {
+        for (uint32_t i = 0, n = r.count(); i < n && !r.bad(); ++i) {
             std::string name = r.str();
-            double value = r.real();
+            double value = r.f64();
             out.stats.emplace_back(std::move(name), value);
         }
         break;
-      }
       case EventType::BudgetUsage:
         out.type = EventType::BudgetUsage;
         out.resource = r.str();
@@ -212,7 +111,7 @@ decodePayload(uint8_t type, const std::string &payload, Event &out)
       default:
         return false; // feed() skips unknown types before decoding
     }
-    return !r.bad;
+    return !r.bad();
 }
 
 } // namespace
@@ -232,15 +131,8 @@ eventTypeName(EventType t)
 std::string
 encodeFrame(const Event &e)
 {
-    std::string payload = encodePayload(e);
-    std::string body;
-    putU8(body, static_cast<uint8_t>(e.type));
-    body.append(payload);
-    std::string frame;
-    putU32(frame, static_cast<uint32_t>(payload.size()));
-    frame.append(body);
-    putU32(frame, crc32(body));
-    return frame;
+    return bytes::encodeFrame(static_cast<uint8_t>(e.type),
+                              encodePayload(e));
 }
 
 Writer &
@@ -310,16 +202,12 @@ Reader::feed(const void *data, size_t n, std::vector<Event> &out)
         return; // desynced: discard the rest of the stream
     buf.append(static_cast<const char *>(data), n);
 
-    size_t pos = 0;
+    std::string_view rest(buf);
     while (true) {
-        if (buf.size() - pos < 4)
-            break;
-        uint32_t len = 0;
-        for (int i = 0; i < 4; ++i) {
-            len |= uint32_t{static_cast<uint8_t>(buf[pos + i])}
-                   << (8 * i);
-        }
-        if (len > kMaxFrame) {
+        const bytes::Frame f = bytes::decodeFrame(rest, kMaxFrame);
+        if (f.status == bytes::FrameStatus::Incomplete)
+            break; // wait for more bytes
+        if (f.status == bytes::FrameStatus::OverLength) {
             // An unbelievable length means the length field itself is
             // damaged; the frame boundary is lost and nothing after
             // this point can be trusted.
@@ -328,37 +216,23 @@ Reader::feed(const void *data, size_t n, std::vector<Event> &out)
             buf.clear();
             return;
         }
-        const size_t frameSize = 4 + 1 + size_t{len} + 4;
-        if (buf.size() - pos < frameSize)
-            break; // incomplete: wait for more bytes
-        const char *body = buf.data() + pos + 4;
-        const size_t bodySize = 1 + size_t{len};
-        uint32_t want = 0;
-        for (int i = 0; i < 4; ++i) {
-            want |= uint32_t{static_cast<uint8_t>(
-                        buf[pos + 4 + bodySize + i])}
-                    << (8 * i);
-        }
-        if (crc32(body, bodySize) != want) {
+        rest.remove_prefix(f.size);
+        if (f.status == bytes::FrameStatus::BadCrc) {
             // Payload damage with an intact boundary: skip just this
             // frame and keep decoding the stream.
             ++crcErrorCount;
-            pos += frameSize;
             continue;
         }
-        const uint8_t type = static_cast<uint8_t>(body[0]);
-        pos += frameSize;
-        if (type < static_cast<uint8_t>(EventType::Lifecycle) ||
-            type > static_cast<uint8_t>(EventType::BudgetUsage))
+        if (f.type < static_cast<uint8_t>(EventType::Lifecycle) ||
+            f.type > static_cast<uint8_t>(EventType::BudgetUsage))
             continue; // intact, but a type this reader does not know
         Event e;
-        std::string payload(body + 1, len);
-        if (decodePayload(type, payload, e))
+        if (decodePayload(f.type, f.payload, e))
             ++frameCount, out.push_back(std::move(e));
         else
             ++crcErrorCount;
     }
-    buf.erase(0, pos);
+    buf.erase(0, buf.size() - rest.size());
 }
 
 bool

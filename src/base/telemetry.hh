@@ -6,18 +6,16 @@
  * A batch worker (`glifs_audit --telemetry-fd N`) streams structured
  * event records to the scheduler over an inherited pipe, so a fleet
  * run can observe per-job progress *while the workers run* instead of
- * waiting for their exit codes and log files. The same records are the
- * wire format the future verification-as-a-service daemon will serve
- * over its socket API (ROADMAP open item 3), so the framing is
- * explicitly versioned and corruption-tolerant.
+ * waiting for their exit codes and log files.
  *
- * Wire format (little-endian), one frame per event:
+ * Wire format, one record frame per event (src/base/bytes.hh, shared
+ * with the batch journal):
  *
  *   u32 payload_len | u8 type | payload | u32 crc32(type + payload)
  *
- * — the same length-prefixed CRC-32 framing as the batch journal
- * (src/batch/journal.hh), chosen so a torn tail (kill -9 mid-write) or
- * a flipped bit costs at most the damaged frame, never a misparse.
+ * so a torn tail (kill -9 mid-write) or a flipped bit costs at most the
+ * damaged frame, never a misparse. Payload integers are little-endian,
+ * doubles their IEEE-754 bits, strings u32-length-prefixed.
  * Frames are capped at kMaxFrame; the writer additionally keeps every
  * frame within PIPE_BUF so each O_NONBLOCK pipe write is atomic — the
  * stream can end torn (dead writer) but never *interleaves* torn.

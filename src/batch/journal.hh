@@ -18,11 +18,12 @@
  * record — corruption costs re-running at most one job, never a crash
  * and never a wrong verdict.
  *
- * On-disk format (little-endian):
+ * On-disk format (little-endian; src/base/bytes.hh):
  *
  *   "GLFSJRNL"  8-byte magic
  *   u32 version currently 1
- *   records:    u32 payload_len | u8 type | payload |
+ *   records:    one record frame each, shared with the telemetry
+ *               stream: u32 payload_len | u8 type | payload |
  *               u32 crc32(type + payload)
  *
  * Journaling is best-effort by design: a journal that cannot be

@@ -165,10 +165,6 @@ parseManifest(const std::string &text, const std::string &baseDir)
             } else if (which == "max-attempts") {
                 m.retry.maxAttempts =
                     static_cast<unsigned>(number(f[2], lineno));
-            } else if (which == "backoff") {
-                m.retry.backoffSeconds = positiveReal(f[2], lineno);
-            } else if (which == "backoff-cap") {
-                m.retry.backoffCapSeconds = positiveReal(f[2], lineno);
             } else {
                 GLIFS_FATAL("manifest line ", lineno,
                             ": unknown retry setting '", f[1], "'");

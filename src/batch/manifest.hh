@@ -10,8 +10,6 @@
  *   batch    <name...>              # optional manifest name
  *   retry    multiplier   <x>      # escalation factor (default 4)
  *   retry    max-attempts <n>      # retry ceiling     (default 3)
- *   retry    backoff      <secs>   # jittered retry delay (default 0)
- *   retry    backoff-cap  <secs>   # delay ceiling      (default 60)
  *   default  <budget> <value>      # budget default for every job
  *   job      <name>                # starts a job block
  *     workload   <registry-name>   #   exactly one of workload /
@@ -61,15 +59,6 @@ struct RetryConfig
 {
     double multiplier = 4.0;   ///< budget scale factor per attempt
     unsigned maxAttempts = 3;  ///< total attempts incl. the first
-    /**
-     * Decorrelated-jitter backoff before each retry attempt: base
-     * delay in seconds (0 = retries launch immediately) and the cap
-     * the jittered ladder saturates at. Pacing only — deliberately
-     * absent from canonical(), because when a retry launches cannot
-     * change its verdict.
-     */
-    double backoffSeconds = 0;
-    double backoffCapSeconds = 60.0;
 
     /** Verdict-affecting knobs only (feeds the cache key). */
     std::string canonical() const;

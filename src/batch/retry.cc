@@ -1,6 +1,5 @@
 #include "batch/retry.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -29,31 +28,6 @@ bool
 RetryLadder::shouldRetry(int exitCode, unsigned attempt) const
 {
     return exitCode == 2 && attempt < cfg.maxAttempts;
-}
-
-double
-RetryLadder::backoffFor(unsigned attempt, uint64_t seed) const
-{
-    if (cfg.backoffSeconds <= 0 || attempt <= 1)
-        return 0;
-    // Decorrelated jitter (delay_n uniform in [base, 3 * delay_n-1]),
-    // replayed deterministically from a splitmix64 stream over
-    // (seed, step) so the same job draws the same ladder every run.
-    double delay = cfg.backoffSeconds;
-    for (unsigned step = 2; step <= attempt; ++step) {
-        uint64_t x = seed + 0x9e3779b97f4a7c15ULL * step;
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ULL;
-        x ^= x >> 27;
-        x *= 0x94d049bb133111ebULL;
-        x ^= x >> 31;
-        double u = static_cast<double>(x >> 11) *
-                   (1.0 / 9007199254740992.0); // 2^-53: u in [0, 1)
-        double hi = 3.0 * delay;
-        delay = cfg.backoffSeconds + u * (hi - cfg.backoffSeconds);
-        delay = std::min(delay, cfg.backoffCapSeconds);
-    }
-    return delay;
 }
 
 JobBudgets

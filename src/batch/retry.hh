@@ -43,18 +43,6 @@ class RetryLadder
     JobBudgets budgetsFor(const JobBudgets &base,
                           unsigned attempt) const;
 
-    /**
-     * Launch delay in seconds before attempt @p attempt (1-based; the
-     * first attempt is never delayed). Decorrelated jitter on the
-     * configured backoff base: each step draws uniformly from
-     * [base, 3 * previous], capped at `backoffCapSeconds` — so a fleet
-     * of jobs degrading together fans out instead of re-hitting the
-     * box in lockstep (the thundering herd). @p seed makes the draw
-     * deterministic per job: tests are stable and a resumed batch
-     * paces exactly like the original.
-     */
-    double backoffFor(unsigned attempt, uint64_t seed) const;
-
     const RetryConfig &config() const { return cfg; }
 
   private:

@@ -444,22 +444,6 @@ mergeTraces(const std::vector<JobRun> &runs, const std::string &outPath)
     out << oss.str();
 }
 
-/** Per-job jitter seed: the first 16 hex digits of the cache key, so
- *  the backoff ladder is deterministic per job but fleet-decorrelated. */
-uint64_t
-jitterSeed(const std::string &cacheKey)
-{
-    uint64_t seed = 0;
-    for (size_t i = 0; i < 16 && i < cacheKey.size(); ++i) {
-        char c = cacheKey[i];
-        uint64_t nibble =
-            c >= 'a' ? static_cast<uint64_t>(c - 'a' + 10)
-                     : static_cast<uint64_t>(c - '0');
-        seed = (seed << 4) | (nibble & 0xF);
-    }
-    return seed;
-}
-
 } // namespace
 
 const char *
@@ -643,10 +627,9 @@ runBatch(const Manifest &manifest, const BatchOptions &options)
             break;
           case telemetry::EventType::BudgetUsage:
             if (options.verbose) {
-                std::printf("[%s] budget: %s %s threshold (%s)\n",
+                std::printf("[%s] budget exhausted: %s (%s)\n",
                             run.outcome.name.c_str(),
-                            e.resource.c_str(), e.severity.c_str(),
-                            e.detail.c_str());
+                            e.resource.c_str(), e.detail.c_str());
             }
             break;
         }
@@ -733,8 +716,6 @@ runBatch(const Manifest &manifest, const BatchOptions &options)
             t.argv.push_back("--trace-out");
             t.argv.push_back(run.traceFile);
         }
-        t.startDelaySeconds =
-            ladder.backoffFor(run.attempt, jitterSeed(run.key));
         t.outputPath = stem + ".log";
         run.state = "running";
         sched.submit(std::move(t));

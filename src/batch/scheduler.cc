@@ -106,7 +106,7 @@ void
 ProcessScheduler::submit(ProcTask task)
 {
     GLIFS_ASSERT(!task.argv.empty(), "ProcTask needs an argv");
-    pending.push_back(Queued{std::move(task), Clock::now()});
+    pending.push_back(std::move(task));
 }
 
 bool
@@ -342,20 +342,12 @@ ProcessScheduler::run(const DoneFn &onDone)
     std::vector<Running> running;
 
     while (!pending.empty() || !running.empty()) {
-        // Launch ready tasks; rotate delayed ones to the back so a
-        // backoff at the queue head never blocks ready work.
-        size_t considered = pending.size();
-        while (considered-- > 0 && !pending.empty() &&
-               running.size() < jobs) {
-            Queued q = std::move(pending.front());
+        // Launch queued tasks up to the concurrency cap.
+        while (!pending.empty() && running.size() < jobs) {
+            ProcTask task = std::move(pending.front());
             pending.pop_front();
-            if (q.task.startDelaySeconds > 0 &&
-                secondsSince(q.submitted) < q.task.startDelaySeconds) {
-                pending.push_back(std::move(q));
-                continue;
-            }
-            uint64_t id = q.task.id;
-            if (!spawn(std::move(q.task), running)) {
+            uint64_t id = task.id;
+            if (!spawn(std::move(task), running)) {
                 ProcResult res;
                 res.id = id;
                 res.spawnFailed = true;

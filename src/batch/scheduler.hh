@@ -37,7 +37,6 @@
 #ifndef GLIFS_BATCH_SCHEDULER_HH
 #define GLIFS_BATCH_SCHEDULER_HH
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -73,8 +72,6 @@ struct ProcTask
      * (`--progress`) faster than this period.
      */
     double stallTimeoutSeconds = 0;
-    /** Earliest start, seconds after submit (retry backoff jitter). */
-    double startDelaySeconds = 0;
 };
 
 /** What happened to one process. */
@@ -129,13 +126,6 @@ class ProcessScheduler
   private:
     struct Running;
 
-    /** A task waiting to launch (possibly delayed by backoff). */
-    struct Queued
-    {
-        ProcTask task;
-        std::chrono::steady_clock::time_point submitted;
-    };
-
     /** Fork/exec @p task; false if fork failed past the retry cap. */
     bool spawn(ProcTask task, std::vector<Running> &running);
     void watchdog(Running &r);
@@ -146,7 +136,7 @@ class ProcessScheduler
     void idleWait(const std::vector<Running> &running);
 
     unsigned jobs;
-    std::deque<Queued> pending;
+    std::deque<ProcTask> pending;
     TelemetryFn telemetryFn;
 };
 

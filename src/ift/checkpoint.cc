@@ -3,11 +3,11 @@
 #include <chrono>
 #include <fstream>
 
+#include "base/bytes.hh"
 #include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
-#include "ift/ckpt_io.hh"
 
 namespace glifs
 {
@@ -52,6 +52,54 @@ scratchBuffer()
     return buf;
 }
 
+void
+writePlane(bytes::Writer &w, const BitPlane &p)
+{
+    w.u64(p.size());
+    for (uint64_t word : p.words())
+        w.u64(word);
+}
+
+void
+writeState(bytes::Writer &w, const SymState &s)
+{
+    writePlane(w, s.knownPlane());
+    writePlane(w, s.valuePlane());
+    writePlane(w, s.taintPlane());
+}
+
+/** A plane, or an empty one with @p r bad when its words would run
+ *  past the bytes left: the size field is checked before it sizes an
+ *  allocation. */
+BitPlane
+readPlane(bytes::Reader &r)
+{
+    const uint64_t nbits = r.u64();
+    const uint64_t words = nbits / 64 + (nbits % 64 != 0);
+    if (words > r.remaining() / 8) {
+        r.fail();
+        return {};
+    }
+    BitPlane p(static_cast<size_t>(nbits));
+    for (uint64_t &word : p.words())
+        word = r.u64();
+    return p;
+}
+
+SymState
+readState(bytes::Reader &r)
+{
+    BitPlane k = readPlane(r);
+    BitPlane v = readPlane(r);
+    BitPlane t = readPlane(r);
+    SymState s;
+    if (k.size() != v.size() || v.size() != t.size())
+        r.fail();
+    else
+        s.setPlanes(std::move(k), std::move(v), std::move(t));
+    return s;
+}
+
 } // namespace
 
 uint64_t
@@ -77,7 +125,7 @@ checkpointFingerprint(const ProgramImage &image, size_t slots,
 void
 EngineCheckpoint::encodeBody(std::string &out) const
 {
-    ckptio::Writer w(out);
+    bytes::Writer w(out);
     w.u64(fingerprint);
     w.u64(totalCycles);
     w.u64(pathsExplored);
@@ -106,17 +154,17 @@ EngineCheckpoint::encodeBody(std::string &out) const
         w.str(v.detail);
     }
 
-    w.plane(everTainted);
+    writePlane(w, everTainted);
 
     w.u32(static_cast<uint32_t>(table.size()));
     for (const auto &[key, state] : table) {
         w.u32(key);
-        w.symstate(state);
+        writeState(w, state);
     }
 
     w.u32(static_cast<uint32_t>(frontier.size()));
     for (const auto &[state, node] : frontier) {
-        w.symstate(state);
+        writeState(w, state);
         w.u32(node);
     }
 
@@ -134,7 +182,7 @@ EngineCheckpoint::encodeBody(std::string &out) const
 EngineCheckpoint
 EngineCheckpoint::decodeBody(std::string_view body)
 {
-    ckptio::Reader r(body);
+    bytes::Reader r(body);
 
     EngineCheckpoint c;
     c.fingerprint = r.u64();
@@ -149,11 +197,9 @@ EngineCheckpoint::decodeBody(std::string_view body)
         GLIFS_RECOVERABLE("checkpoint: taken on retired degradation "
                           "rung ", ladder);
 
-    uint32_t ndeg = r.u32();
-    if (ndeg > ckptio::kMaxSection)
-        GLIFS_RECOVERABLE("checkpoint: implausible section size");
-    c.degradations.reserve(ndeg);
-    for (uint32_t i = 0; i < ndeg; ++i) {
+    // Every loop stops once the reader went bad, so a count is never
+    // trusted past the bytes that are really there.
+    for (uint32_t i = 0, n = r.count(); i < n && !r.bad(); ++i) {
         Degradation d;
         d.level = static_cast<DegradeLevel>(r.u8());
         d.trigger = static_cast<ResourceKind>(r.u8());
@@ -164,11 +210,7 @@ EngineCheckpoint::decodeBody(std::string_view body)
         c.degradations.push_back(std::move(d));
     }
 
-    uint32_t nviol = r.u32();
-    if (nviol > ckptio::kMaxSection)
-        GLIFS_RECOVERABLE("checkpoint: implausible section size");
-    c.violations.reserve(nviol);
-    for (uint32_t i = 0; i < nviol; ++i) {
+    for (uint32_t i = 0, n = r.count(); i < n && !r.bad(); ++i) {
         Violation v;
         v.kind = static_cast<ViolationKind>(r.u8());
         v.instrAddr = r.u16();
@@ -179,45 +221,36 @@ EngineCheckpoint::decodeBody(std::string_view body)
         c.violations.push_back(std::move(v));
     }
 
-    c.everTainted = r.plane();
+    c.everTainted = readPlane(r);
 
-    uint32_t ntable = r.u32();
-    if (ntable > ckptio::kMaxSection)
-        GLIFS_RECOVERABLE("checkpoint: implausible section size");
-    c.table.reserve(ntable);
-    for (uint32_t i = 0; i < ntable; ++i) {
+    for (uint32_t i = 0, n = r.count(); i < n && !r.bad(); ++i) {
         uint32_t key = r.u32();
-        c.table.emplace_back(key, r.symstate());
+        c.table.emplace_back(key, readState(r));
     }
 
-    uint32_t nfront = r.u32();
-    if (nfront > ckptio::kMaxSection)
-        GLIFS_RECOVERABLE("checkpoint: implausible section size");
-    c.frontier.reserve(nfront);
-    for (uint32_t i = 0; i < nfront; ++i) {
-        SymState s = r.symstate();
+    for (uint32_t i = 0, n = r.count(); i < n && !r.bad(); ++i) {
+        SymState s = readState(r);
         uint32_t node = r.u32();
         c.frontier.emplace_back(std::move(s), node);
     }
 
-    uint32_t ntree = r.u32();
-    if (ntree > ckptio::kMaxSection)
-        GLIFS_RECOVERABLE("checkpoint: implausible section size");
-    c.tree.reserve(ntree);
-    for (uint32_t i = 0; i < ntree; ++i) {
-        ExecNode n;
-        n.id = r.u32();
-        n.parent = static_cast<int32_t>(r.u32());
-        n.startPc = r.u16();
-        n.cycles = r.u64();
-        n.endInstr = r.u16();
-        uint8_t end = r.u8();
+    for (uint32_t i = 0, n = r.count(); i < n && !r.bad(); ++i) {
+        ExecNode e;
+        e.id = r.u32();
+        e.parent = static_cast<int32_t>(r.u32());
+        e.startPc = r.u16();
+        e.cycles = r.u64();
+        e.endInstr = r.u16();
+        const uint8_t end = r.u8();
         if (end > static_cast<uint8_t>(PathEnd::Degraded))
-            GLIFS_RECOVERABLE("checkpoint: bad path end ", end);
-        n.end = static_cast<PathEnd>(end);
-        c.tree.push_back(n);
+            r.fail();
+        e.end = static_cast<PathEnd>(end);
+        c.tree.push_back(e);
     }
 
+    if (r.bad())
+        GLIFS_RECOVERABLE("checkpoint: malformed body (a short read, "
+                          "an implausible length or a bad field)");
     return c;
 }
 
@@ -233,22 +266,18 @@ EngineCheckpoint::save(const std::string &path) const
     // RecoverableError instead of a garbage parse. The scratch is
     // per-thread and reused across saves, so the serialize path does
     // not re-allocate its working set on every snapshot.
-    std::string &bytes = scratchBuffer();
-    encodeBody(bytes);
+    std::string &body = scratchBuffer();
+    encodeBody(body);
+    std::string header(kMagic, sizeof(kMagic));
+    bytes::Writer h(header);
+    h.u32(kVersion);
+    h.u32(crc32(body));
 
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out)
         GLIFS_RECOVERABLE("checkpoint: cannot write ", path);
-    out.write(kMagic, sizeof(kMagic));
-    char hdr[8];
-    const uint32_t crc = crc32(bytes);
-    for (int i = 0; i < 4; ++i) {
-        hdr[i] = static_cast<char>((kVersion >> (8 * i)) & 0xFF);
-        hdr[4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-    }
-    out.write(hdr, sizeof(hdr));
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
+    out.write(header.data(), static_cast<std::streamsize>(header.size()));
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
     out.flush();
     if (!out)
         GLIFS_RECOVERABLE("checkpoint: write to ", path, " failed");
@@ -269,56 +298,42 @@ EngineCheckpoint::load(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         GLIFS_RECOVERABLE("checkpoint: cannot open ", path);
-    char magic[8] = {};
-    in.read(magic, sizeof(magic));
-    if (in.gcount() != sizeof(magic) ||
-        !std::equal(magic, magic + sizeof(magic), kMagic)) {
+
+    // Slurp into the per-thread scratch, so repeated loads settle into
+    // a steady-state allocation footprint. No size the file system
+    // reports is trusted: a short file is caught below like any other.
+    std::string &file = scratchBuffer();
+    char chunk[1 << 16];
+    do {
+        in.read(chunk, sizeof(chunk));
+        file.append(chunk, static_cast<size_t>(in.gcount()));
+    } while (in);
+
+    bytes::Reader r(file);
+    if (r.take(sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic)))
         GLIFS_RECOVERABLE("checkpoint: ", path,
                           " is not a glifs checkpoint");
-    }
-    char hdr[8] = {};
-    in.read(hdr, sizeof(hdr));
-    if (in.gcount() != sizeof(hdr))
+    const uint32_t version = r.u32();
+    const uint32_t wantCrc = r.u32();
+    if (r.bad())
         GLIFS_RECOVERABLE("checkpoint: truncated file");
-    uint32_t version = 0;
-    uint32_t wantCrc = 0;
-    for (int i = 0; i < 4; ++i) {
-        version |= uint32_t{static_cast<uint8_t>(hdr[i])} << (8 * i);
-        wantCrc |= uint32_t{static_cast<uint8_t>(hdr[4 + i])}
-                   << (8 * i);
-    }
     if (version != kVersion) {
         GLIFS_RECOVERABLE("checkpoint: version ", version,
                           " unsupported (expected ", kVersion, ")");
     }
 
-    // Slurp and verify the body before parsing: a bit flip anywhere
-    // must become this one error, not a semi-plausible parse. The
-    // slurp reuses the per-thread scratch, so repeated loads settle
-    // into a steady-state allocation footprint.
-    std::string &bytes = scratchBuffer();
-    in.seekg(0, std::ios::end);
-    const std::streamoff fileEnd = in.tellg();
-    constexpr std::streamoff kBodyOff =
-        static_cast<std::streamoff>(sizeof(kMagic) + sizeof(hdr));
-    if (fileEnd < kBodyOff)
-        GLIFS_RECOVERABLE("checkpoint: truncated file");
-    bytes.resize(static_cast<size_t>(fileEnd - kBodyOff));
-    in.seekg(kBodyOff, std::ios::beg);
-    in.read(bytes.data(),
-            static_cast<std::streamsize>(bytes.size()));
-    if (static_cast<size_t>(in.gcount()) != bytes.size())
-        GLIFS_RECOVERABLE("checkpoint: truncated file");
-    if (crc32(bytes) != wantCrc)
+    // Verify the body before parsing: a bit flip anywhere must become
+    // this one error, not a semi-plausible parse.
+    const std::string_view body = r.take(r.remaining());
+    if (crc32(body.data(), body.size()) != wantCrc)
         GLIFS_RECOVERABLE("checkpoint: ", path,
                           " failed its integrity check (corrupt or "
                           "truncated body)");
-    EngineCheckpoint c = decodeBody(bytes);
+    EngineCheckpoint c = decodeBody(body);
 
     CheckpointStats &st = ckptStats();
     ++st.loads;
-    st.bytesRead.set(static_cast<double>(sizeof(kMagic) + 8 +
-                                         bytes.size()));
+    st.bytesRead.set(static_cast<double>(file.size()));
     st.loadSeconds.set(std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count());

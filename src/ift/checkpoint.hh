@@ -11,16 +11,17 @@
  * the uninterrupted run bit-for-bit on the EngineResult counters,
  * violations and verdict.
  *
- * Format: magic "GLFSCKPT", a little-endian version word, a CRC-32 of
- * the body, then the body: a (image, layout) fingerprint and the
- * length-prefixed sections. The byte after the counters held the
- * position on a retired degradation ladder: it is written as 0, and a
- * snapshot with any other value is refused, because its frontier was
- * explored under that rung. Loading verifies the CRC before parsing
- * anything, so bad magic, unknown versions, truncation and arbitrary
- * bit flips all surface as one RecoverableError — callers are expected
- * to fall back to a fresh run, never to crash or trust a corrupt
- * snapshot.
+ * Format (little-endian, src/base/bytes.hh): magic "GLFSCKPT", a
+ * version word, a CRC-32 of the body, then the body: a (image, layout)
+ * fingerprint and the length-prefixed sections. The byte after the
+ * counters held the position on a retired degradation ladder: it is
+ * written as 0, and a snapshot with any other value is refused,
+ * because its frontier was explored under that rung. Loading verifies
+ * the CRC before parsing anything, so bad magic, unknown versions,
+ * truncation and arbitrary bit flips all surface as one
+ * RecoverableError, and so does a CRC-valid body that does not parse —
+ * callers are expected to fall back to a fresh run, never to crash or
+ * trust a corrupt snapshot.
  */
 
 #ifndef GLIFS_IFT_CHECKPOINT_HH

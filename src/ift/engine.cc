@@ -402,6 +402,16 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
         }
         if (resume->everTainted.size() != soc.netlist().numNets())
             GLIFS_RECOVERABLE("checkpoint: tainted-net plane mismatch");
+        const size_t slots = ctx.ps.layout.slots();
+        for (const auto &[key, state] : resume->table) {
+            if (state.numSlots() != slots)
+                GLIFS_RECOVERABLE("checkpoint: state-table slot mismatch");
+        }
+        for (const auto &[state, node] : resume->frontier) {
+            if (state.numSlots() != slots || node >= resume->tree.size())
+                GLIFS_RECOVERABLE("checkpoint: frontier entry does not "
+                                  "fit the layout or the tree");
+        }
 
         ctx.totalCycles = resume->totalCycles;
         ctx.gov.chargeCycles(resume->totalCycles);

@@ -197,8 +197,10 @@ class IftEngine
     /**
      * Run the full analysis of a program image, optionally continuing
      * from a checkpoint taken by an earlier (interrupted) run of the
-     * same image on the same SoC. Throws RecoverableError if the
-     * checkpoint does not match. Resuming an unmodified snapshot to
+     * same image on the same SoC. Throws RecoverableError, before
+     * exploring anything, if the checkpoint does not match: another
+     * image or netlist, or a plane or state of the wrong size.
+     * Resuming an unmodified snapshot to
      * completion reproduces the uninterrupted run's counters,
      * violations and verdict exactly.
      */

@@ -8,7 +8,9 @@
  * kernels plus MiniRTOS under its own labels). `--explore-jobs 0` and
  * the retired worker-mode and retry flags are usage errors. The trace
  * carries every POR fork on the absolute clock. A budget only stops
- * the audit: resuming its checkpoint gives the flagless audit.
+ * the audit: resuming its checkpoint gives the flagless audit, and so
+ * does a snapshot the engine refuses (another program's, or one whose
+ * state does not fit), after a warning.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "batch/manifest.hh"
+#include "ift/checkpoint.hh"
 #include "ift/policy_file.hh"
 #include "workloads/rtos.hh"
 #include "workloads/workload.hh"
@@ -114,6 +117,7 @@ struct AuditRun
     int exitCode = -1;
     std::string report; ///< raw glifs.run_report.v1 JSON
     std::string out;    ///< stdout
+    std::string err;    ///< stderr
 };
 
 /** One glifs_audit run; @p target is the firmware plus any label
@@ -126,14 +130,16 @@ runAudit(const std::string &dir, const std::string &target,
     const std::string tag = std::to_string(++seq);
     const std::string reportFile = dir + "/report." + tag + ".json";
     const std::string outFile = dir + "/stdout." + tag + ".log";
+    const std::string errFile = dir + "/stderr." + tag + ".log";
     std::ostringstream cmd;
     cmd << GLIFS_AUDIT_BIN << " " << target << " --stats-json "
         << reportFile << " " << flags << " < /dev/null > " << outFile
-        << " 2> " << dir << "/stderr." << tag << ".log";
+        << " 2> " << errFile;
     AuditRun r;
     r.exitCode = runCmd(cmd.str());
     r.report = readFile(reportFile);
     r.out = readFile(outFile);
+    r.err = readFile(errFile);
     return r;
 }
 
@@ -240,9 +246,10 @@ deterministicStats(const std::string &report)
     return out;
 }
 
-/** @p run must match @p flagless on everything but timing. */
+/** @p run must match @p flagless on exit code, verdict and the
+ *  `analysis` section. */
 void
-expectSameAudit(const AuditRun &flagless, const AuditRun &run)
+expectSameVerdict(const AuditRun &flagless, const AuditRun &run)
 {
     ASSERT_FALSE(flagless.report.empty());
     ASSERT_FALSE(run.report.empty());
@@ -251,6 +258,13 @@ expectSameAudit(const AuditRun &flagless, const AuditRun &run)
               jsonString(run.report, "verdict"));
     EXPECT_EQ(normalizedAnalysis(flagless.report),
               normalizedAnalysis(run.report));
+}
+
+/** @p run must match @p flagless on everything but timing. */
+void
+expectSameAudit(const AuditRun &flagless, const AuditRun &run)
+{
+    expectSameVerdict(flagless, run);
 
     const auto want = deterministicStats(flagless.report);
     const auto got = deterministicStats(run.report);
@@ -383,13 +397,66 @@ TEST(AuditBudget, StoppedRunResumesToTheFlaglessRun)
               std::string::npos)
         << stop.out;
 
-    const AuditRun resumed = runAudit(dir, target, "--resume " + ckpt);
-    ASSERT_FALSE(resumed.report.empty());
-    EXPECT_EQ(resumed.exitCode, flagless.exitCode);
-    EXPECT_EQ(jsonString(resumed.report, "verdict"),
-              jsonString(flagless.report, "verdict"));
-    EXPECT_EQ(normalizedAnalysis(resumed.report),
-              normalizedAnalysis(flagless.report));
+    expectSameVerdict(flagless,
+                      runAudit(dir, target, "--resume " + ckpt));
+    std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------------------------
+// Resume refuses what it cannot use: the audit warns and runs fresh.
+// ------------------------------------------------------------------
+
+/** A snapshot of another program (tHold's, resumed on mult) fails the
+ *  engine's fingerprint check. */
+TEST(AuditResume, ForeignSnapshotRunsFresh)
+{
+    const std::string dir = tempDir("resume_foreign");
+    const std::string thold = materializeWorkload(dir, "tHold");
+    const std::string mult = materializeWorkload(dir, "mult");
+    const std::string ckpt = dir + "/thold.ckpt";
+    runAudit(dir, thold, "--max-cycles 400 --checkpoint " + ckpt);
+    ASSERT_TRUE(std::filesystem::exists(ckpt));
+
+    const AuditRun resumed = runAudit(dir, mult, "--resume " + ckpt);
+    expectSameVerdict(runAudit(dir, mult), resumed);
+    EXPECT_NE(resumed.err.find("starting a fresh run"), std::string::npos)
+        << resumed.err;
+    EXPECT_EQ(resumed.out.find("resumed from"), std::string::npos);
+    std::filesystem::remove_all(dir);
+}
+
+/** A CRC-valid snapshot whose last frontier state is 64 slots short
+ *  is refused before the engine restores any state from it. */
+TEST(AuditResume, ShortFrontierStateRunsFresh)
+{
+    const std::string dir = tempDir("resume_short");
+    const std::string mult = materializeWorkload(dir, "mult");
+    const std::string ckpt = dir + "/mult.ckpt";
+    ASSERT_EQ(
+        runAudit(dir, mult, "--max-cycles 60 --checkpoint " + ckpt)
+            .exitCode,
+        2);
+
+    EngineCheckpoint c = EngineCheckpoint::load(ckpt);
+    ASSERT_FALSE(c.frontier.empty());
+    SymState &last = c.frontier.back().first;
+    ASSERT_GT(last.numSlots(), 64u);
+    auto shorten = [](const BitPlane &p) {
+        BitPlane out(p.size() - 64);
+        for (size_t i = 0; i < out.size(); ++i)
+            out.set(i, p.get(i));
+        return out;
+    };
+    last.setPlanes(shorten(last.knownPlane()),
+                   shorten(last.valuePlane()),
+                   shorten(last.taintPlane()));
+    c.save(ckpt);
+
+    const AuditRun resumed = runAudit(dir, mult, "--resume " + ckpt);
+    expectSameVerdict(runAudit(dir, mult), resumed);
+    EXPECT_NE(resumed.err.find("starting a fresh run"), std::string::npos)
+        << resumed.err;
+    EXPECT_EQ(resumed.out.find("resumed from"), std::string::npos);
     std::filesystem::remove_all(dir);
 }
 

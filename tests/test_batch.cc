@@ -221,6 +221,10 @@ TEST(ManifestTest, ErrorsCarryLineNumbers)
     expectError("job a\nworkload mult\nfirmware b.s\n",
                 "already has a workload");
     expectError("job a\nworkload mult\nmax-cycles -5\n", "line 3");
+    // Retry pacing is retired: --jobs caps concurrency.
+    expectError("retry backoff 2\njob a\nworkload mult\n", "line 1");
+    expectError("batch b\nretry backoff-cap 20\njob a\nworkload mult\n",
+                "line 2");
     expectError("# just a comment\n", "empty");
 }
 
@@ -581,6 +585,36 @@ TEST(BatchJournalTest, BitFlipIsCaughtByTheRecordCrc)
     EXPECT_EQ(r.finished.at(0).name, "ok");
 }
 
+/** A record whose CRC holds but whose payload does not parse (a
+ *  string length past the bytes left) ends the valid prefix like a
+ *  torn one: nothing is sized from the bogus length. */
+TEST(BatchJournalTest, MalformedPayloadBehindAValidCrcEndsReplay)
+{
+    std::string dir = tempDir("journal_malformed");
+    std::string path = dir + "/batch.journal";
+    {
+        BatchJournal j = BatchJournal::create(path, "fp");
+        j.jobFinished(0, sampleOutcome("kept", 0));
+    }
+    auto le32 = [](std::string &out, uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    };
+    // Type 4 (jobFinished): index 1, then a name claiming 4 GiB.
+    const std::string body("\x04\x01\x00\x00\x00\xff\xff\xff\xff", 9);
+    std::string record;
+    le32(record, static_cast<uint32_t>(body.size() - 1));
+    record += body;
+    le32(record, crc32(body));
+    writeFile(path, readFile(path) + record);
+
+    BatchJournal::Replay r = BatchJournal::replay(path);
+    EXPECT_TRUE(r.torn);
+    EXPECT_EQ(r.records, 2u); // manifest + the kept outcome
+    ASSERT_EQ(r.finished.size(), 1u);
+    EXPECT_EQ(r.finished.at(0).name, "kept");
+}
+
 TEST(BatchJournalTest, MissingOrForeignFilesReplayNothing)
 {
     std::string dir = tempDir("journal_missing");
@@ -632,6 +666,61 @@ TEST(BatchJournalTest, FingerprintTracksManifestContent)
     EXPECT_NE(manifestFingerprint(m1), manifestFingerprint(m3));
 }
 
+std::string
+toHex(const std::string &bytes)
+{
+    static const char *kDigits = "0123456789abcdef";
+    std::string hex;
+    for (unsigned char c : bytes) {
+        hex.push_back(kDigits[c >> 4]);
+        hex.push_back(kDigits[c & 0xF]);
+    }
+    return hex;
+}
+
+/** Journal v1 byte for byte: the header and one record of each type,
+ *  each record `u32 len | u8 type | payload | u32 crc32`. */
+TEST(BatchJournalTest, GoldenBytes)
+{
+    std::string dir = tempDir("journal_golden");
+    std::string path = dir + "/batch.journal";
+    {
+        BatchJournal j = BatchJournal::create(path, "fp");
+        j.jobStarted(2, "job", "k1");
+        j.cachePublished(2, "k1");
+        JobOutcome o;
+        o.name = "job";
+        o.verdict = "secure";
+        o.exitCode = 0;
+        o.cache = CacheStatus::Miss;
+        o.attempts = 1;
+        o.resumed = false;
+        o.wallSeconds = 1.5;
+        o.violationCount = 0;
+        o.violationsJson = "[]";
+        o.detail = "";
+        j.jobFinished(2, o);
+    }
+    const std::string want =
+        // magic "GLFSJRNL", version 1
+        "474c46534a524e4c" "01000000"
+        // manifest: len, type 1, "fp", CRC
+        "06000000" "01" "02000000" "6670" "dcc87115"
+        // jobStarted: len, type 2, index 2, "job", "k1", CRC
+        "11000000" "02" "02000000"
+        "03000000" "6a6f62" "02000000" "6b31" "7baf894d"
+        // cachePublished: len, type 3, index 2, "k1", CRC
+        "0a000000" "03" "02000000" "02000000" "6b31" "8d148f6c"
+        // jobFinished: len, type 4, index 2, "job", "secure", exit 0,
+        "39000000" "04" "02000000" "03000000" "6a6f62"
+        "06000000" "736563757265" "00000000"
+        // cache Miss, attempts 1, resumed 0, wallSeconds 1.5 (IEEE-754)
+        "01" "01000000" "00" "000000000000f83f"
+        // violationCount 0, "[]", "", CRC
+        "0000000000000000" "02000000" "5b5d" "00000000" "b37a221c";
+    EXPECT_EQ(toHex(readFile(path)), want);
+}
+
 // ---------------------------------------------------------------------
 // Retry ladder.
 // ---------------------------------------------------------------------
@@ -669,36 +758,6 @@ TEST(RetryLadderTest, EscalatesConfiguredBudgetsOnly)
     // Unset dimensions stay unset at every rung.
     EXPECT_EQ(third.maxStates, 0u);
     EXPECT_EQ(third.maxRssMb, 0u);
-}
-
-TEST(RetryLadderTest, BackoffJitterIsDeterministicAndBounded)
-{
-    RetryConfig cfg;
-    cfg.backoffSeconds = 2.0;
-    cfg.backoffCapSeconds = 20.0;
-    RetryLadder ladder(cfg);
-
-    // Never delay the first attempt; never delay when backoff is off.
-    EXPECT_EQ(ladder.backoffFor(1, 42), 0.0);
-    RetryLadder off{RetryConfig{}};
-    EXPECT_EQ(off.backoffFor(3, 42), 0.0);
-
-    // Deterministic per seed (stable tests, stable resumed batches),
-    // decorrelated across seeds (no thundering herd), and always
-    // within [base, cap].
-    for (unsigned attempt = 2; attempt <= 6; ++attempt) {
-        double d1 = ladder.backoffFor(attempt, 42);
-        EXPECT_EQ(d1, ladder.backoffFor(attempt, 42));
-        EXPECT_GE(d1, cfg.backoffSeconds);
-        EXPECT_LE(d1, cfg.backoffCapSeconds);
-    }
-    int distinct = 0;
-    for (uint64_t seed = 0; seed < 8; ++seed) {
-        if (ladder.backoffFor(2, seed) !=
-            ladder.backoffFor(2, seed + 100))
-            ++distinct;
-    }
-    EXPECT_GE(distinct, 6); // jitter actually spreads the fleet
 }
 
 TEST(RetryLadderTest, SaturatesInsteadOfOverflowing)
@@ -820,27 +879,6 @@ TEST(SchedulerTest, StallWatchdogSparesHeartbeatingWorkers)
     sched.run([&](const ProcResult &r) { got = r; });
     EXPECT_FALSE(got.stalled);
     EXPECT_EQ(got.exitCode, 0);
-}
-
-TEST(SchedulerTest, StartDelayHoldsTaskWithoutBlockingOthers)
-{
-    using Clock = std::chrono::steady_clock;
-    ProcessScheduler sched(2);
-    ProcTask delayed = shellTask(1, "exit 0");
-    delayed.startDelaySeconds = 0.5;
-    sched.submit(delayed);
-    sched.submit(shellTask(2, "exit 0"));
-    std::vector<uint64_t> order;
-    Clock::time_point start = Clock::now();
-    sched.run([&](const ProcResult &r) { order.push_back(r.id); });
-    double wall =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    // The ready task finished first even though the delayed one sat
-    // at the head of the queue; the delayed one still ran.
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0], 2u);
-    EXPECT_EQ(order[1], 1u);
-    EXPECT_GE(wall, 0.5);
 }
 
 // ---------------------------------------------------------------------

@@ -2,8 +2,9 @@
  * @file
  * Tests of the resource governor, the degradation ladder, the
  * three-valued verdict and the checkpoint/resume machinery
- * (docs/ROBUSTNESS.md). The serialization round-trip tests carry the
- * `sanitize` ctest label so the ASan+UBSan build exercises them.
+ * (docs/ROBUSTNESS.md), including the checkpoint v2 golden bytes and
+ * the parser behind the CRC. The binary carries the `sanitize` ctest
+ * label so the ASan+UBSan build exercises them.
  */
 
 #include <gtest/gtest.h>
@@ -535,6 +536,209 @@ TEST_F(CheckpointTest, RejectsCheckpointOfDifferentProgram)
     IftEngine engine(*soc, p, EngineConfig{});
     EXPECT_THROW(engine.run(other, partial.checkpoint.get()),
                  RecoverableError);
+}
+
+/** A snapshot whose states or frontier do not fit this image's layout
+ *  and tree is refused before anything is restored from it. */
+TEST_F(CheckpointTest, RejectsStatesThatDoNotFit)
+{
+    Policy p = benchmarkPolicy(0x10, 0x7F);
+    ProgramImage img = assembleSource(kViolationProgram);
+    EngineConfig cfg;
+    cfg.maxCycles = 10;
+    cfg.checkpointOnStop = true;
+    EngineResult partial = IftEngine(*soc, p, cfg).run(img);
+    ASSERT_NE(partial.checkpoint, nullptr);
+    ASSERT_FALSE(partial.checkpoint->table.empty());
+    ASSERT_FALSE(partial.checkpoint->frontier.empty());
+    IftEngine engine(*soc, p, EngineConfig{});
+
+    auto shortened = [](const SymState &s) {
+        auto cut = [](const BitPlane &plane) {
+            BitPlane out(plane.size() - 64);
+            for (size_t i = 0; i < out.size(); ++i)
+                out.set(i, plane.get(i));
+            return out;
+        };
+        SymState out;
+        out.setPlanes(cut(s.knownPlane()), cut(s.valuePlane()),
+                      cut(s.taintPlane()));
+        return out;
+    };
+    EngineCheckpoint table = *partial.checkpoint;
+    table.table.back().second = shortened(table.table.back().second);
+    EXPECT_THROW(engine.run(img, &table), RecoverableError);
+
+    EngineCheckpoint front = *partial.checkpoint;
+    front.frontier.back().first = shortened(front.frontier.back().first);
+    EXPECT_THROW(engine.run(img, &front), RecoverableError);
+
+    EngineCheckpoint node = *partial.checkpoint;
+    node.frontier.back().second =
+        static_cast<uint32_t>(node.tree.size());
+    EXPECT_THROW(engine.run(img, &node), RecoverableError);
+
+    // The unedited snapshot still resumes.
+    EXPECT_NO_THROW(engine.run(img, partial.checkpoint.get()));
+}
+
+std::string
+toHex(const std::string &bytes)
+{
+    static const char *kDigits = "0123456789abcdef";
+    std::string hex;
+    for (unsigned char c : bytes) {
+        hex.push_back(kDigits[c >> 4]);
+        hex.push_back(kDigits[c & 0xF]);
+    }
+    return hex;
+}
+
+/** A 70-slot state: two plane words, the second one partial. */
+SymState
+goldenState(unsigned seed)
+{
+    BitPlane k(70), v(70), t(70);
+    k.set(seed, true);
+    k.set(seed + 1, true);
+    k.set(69, true);
+    v.set(seed + 1, true);
+    t.set(64 + seed, true);
+    SymState s;
+    s.setPlanes(std::move(k), std::move(v), std::move(t));
+    return s;
+}
+
+/** A small hand-built snapshot: one degradation, one violation, three
+ *  70-slot states and two tree nodes. */
+EngineCheckpoint
+goldenCheckpoint()
+{
+    EngineCheckpoint c;
+    c.fingerprint = 0x0123456789abcdefULL;
+    c.totalCycles = 1000;
+    c.pathsExplored = 7;
+    c.branchPoints = 3;
+    c.merges = 2;
+    c.subsumptions = 1;
+    Degradation d;
+    d.level = DegradeLevel::StarLogicPath;
+    d.trigger = ResourceKind::BranchFanout;
+    d.cycle = 500;
+    d.instrAddr = 0x1234;
+    d.detail = "fan";
+    c.degradations.push_back(d);
+    Violation v;
+    v.kind = ViolationKind::StoreUntaintedPartition;
+    v.instrAddr = 0x0040;
+    v.firstCycle = 99;
+    v.count = 4;
+    v.maskable = true;
+    v.detail = "st";
+    c.violations.push_back(v);
+    c.everTainted = BitPlane(70);
+    c.everTainted.set(3, true);
+    c.table.emplace_back(0x10, goldenState(0));
+    c.table.emplace_back(0x22, goldenState(1));
+    c.frontier.emplace_back(goldenState(2), 1);
+    c.tree.push_back(ExecNode{0, -1, 0x0000, 10, 0x0010,
+                              PathEnd::Branched});
+    c.tree.push_back(ExecNode{1, 0, 0x0012, 20, 0x0020,
+                              PathEnd::Running});
+    return c;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/** Checkpoint v2 byte for byte: the golden snapshot written by save()
+ *  must produce exactly these bytes, section by section. */
+TEST_F(CheckpointTest, GoldenBytes)
+{
+    const std::string path = tempPath("golden.ckpt");
+    goldenCheckpoint().save(path);
+    const std::string bytes = slurp(path);
+    const std::string want =
+        // magic "GLFSCKPT", version 2, CRC-32 of the body
+        "474c4653434b5054" "02000000" "4ebf036e"
+        // fingerprint, totalCycles, pathsExplored
+        "efcdab8967452301" "e803000000000000" "0700000000000000"
+        // branchPoints, merges, subsumptions, the retired ladder byte
+        "0300000000000000" "0200000000000000" "0100000000000000" "00"
+        // one degradation: level, trigger, severity 1, cycle, instr, "fan"
+        "01000000" "02" "02" "01" "f401000000000000" "3412"
+        "03000000" "66616e"
+        // one violation: kind, instr, firstCycle, count, maskable, "st"
+        "01000000" "02" "4000" "6300000000000000" "04000000" "01"
+        "02000000" "7374"
+        // everTainted: 70 bits in two words
+        "4600000000000000" "0800000000000000" "0000000000000000"
+        // table: two (key, state) entries, each plane 70 bits
+        "02000000" "10000000"
+        "4600000000000000" "0300000000000000" "2000000000000000"
+        "4600000000000000" "0200000000000000" "0000000000000000"
+        "4600000000000000" "0000000000000000" "0100000000000000"
+        "22000000"
+        "4600000000000000" "0600000000000000" "2000000000000000"
+        "4600000000000000" "0400000000000000" "0000000000000000"
+        "4600000000000000" "0000000000000000" "0200000000000000"
+        // frontier: one (state, node) entry
+        "01000000"
+        "4600000000000000" "0c00000000000000" "2000000000000000"
+        "4600000000000000" "0800000000000000" "0000000000000000"
+        "4600000000000000" "0000000000000000" "0400000000000000"
+        "01000000"
+        // tree: two nodes (id, parent, startPc, cycles, endInstr, end)
+        "02000000"
+        "00000000" "ffffffff" "0000" "0a00000000000000" "1000" "03"
+        "01000000" "00000000" "1200" "1400000000000000" "2000" "00";
+    EXPECT_EQ(toHex(bytes), want);
+}
+
+/**
+ * The whole-body CRC shields the parser from every other test. With
+ * the header CRC rewritten to match, a body cut at any offset, and a
+ * section count larger than the bytes that follow it, must each be
+ * refused with RecoverableError, never parsed or sized from.
+ */
+TEST_F(CheckpointTest, ParserRefusesBadBodiesBehindAValidCrc)
+{
+    const std::string path = tempPath("parser.ckpt");
+    goldenCheckpoint().save(path);
+    const std::string bytes = slurp(path);
+    constexpr size_t kBody = 16; // magic, version, CRC
+    auto loadWithCrc = [&](std::string file) {
+        const uint32_t crc =
+            crc32(file.data() + kBody, file.size() - kBody);
+        for (int i = 0; i < 4; ++i)
+            file[12 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << file;
+        return EngineCheckpoint::load(path);
+    };
+    ASSERT_NO_THROW(loadWithCrc(bytes));
+
+    for (size_t n = kBody; n < bytes.size(); ++n) {
+        EXPECT_THROW(loadWithCrc(bytes.substr(0, n)), RecoverableError)
+            << "body cut at byte " << n << " parsed as valid";
+    }
+
+    // The file offsets of the golden snapshot's five section counts
+    // (see GoldenBytes): degradations, violations, table, frontier,
+    // tree. Each is set one past the bytes left after it.
+    ASSERT_EQ(bytes.size(), 421u);
+    for (size_t at : {65u, 89u, 139u, 295u, 375u}) {
+        std::string file = bytes;
+        const uint32_t n = static_cast<uint32_t>(bytes.size() - at - 4 + 1);
+        for (int i = 0; i < 4; ++i)
+            file[at + i] = static_cast<char>((n >> (8 * i)) & 0xFF);
+        EXPECT_THROW(loadWithCrc(file), RecoverableError)
+            << "count " << n << " at byte " << at;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -318,6 +318,51 @@ TEST(TelemetryFraming, MalformedPayloadOfAKnownTypeIsCounted)
     EXPECT_TRUE(out.empty());
 }
 
+std::string
+toHex(const std::string &bytes)
+{
+    static const char *kDigits = "0123456789abcdef";
+    std::string hex;
+    for (unsigned char c : bytes) {
+        hex.push_back(kDigits[c >> 4]);
+        hex.push_back(kDigits[c & 0xF]);
+    }
+    return hex;
+}
+
+/** Every frame type byte for byte: `u32 len | u8 type | payload |
+ *  u32 crc32(type + payload)`, integers little-endian, doubles as
+ *  their IEEE-754 bits. */
+TEST(TelemetryFraming, GoldenBytes)
+{
+    Event budget;
+    budget.type = EventType::BudgetUsage;
+    budget.resource = "cycles";
+    budget.severity = "hard";
+    budget.detail = "60";
+    Event stats;
+    stats.type = EventType::StatsSnapshot;
+    stats.stats = {{"a.b", 2.5}};
+    // Lifecycle: "finished", exit code 1, "violations".
+    EXPECT_EQ(toHex(telemetry::encodeFrame(sampleLifecycle())),
+              "1e000000" "01" "08000000" "66696e6973686564" "01000000"
+              "0a000000" "76696f6c6174696f6e73" "3522f816");
+    // Heartbeat: cycles, elapsed, cycles/s, frontier, states, RSS,
+    // budget used.
+    EXPECT_EQ(toHex(telemetry::encodeFrame(sampleHeartbeat())),
+              "38000000" "02" "40e2010000000000" "000000000000f83f"
+              "000000000418f440" "1100000000000000" "2a00000000000000"
+              "0000900000000000" "000000000000d03f" "847dd732");
+    // StatsSnapshot: one pair, "a.b" = 2.5.
+    EXPECT_EQ(toHex(telemetry::encodeFrame(stats)),
+              "13000000" "03" "01000000" "03000000" "612e62"
+              "0000000000000440" "4b6b08c6");
+    // BudgetUsage: "cycles", "hard", "60".
+    EXPECT_EQ(toHex(telemetry::encodeFrame(budget)),
+              "18000000" "04" "06000000" "6379636c6573" "04000000"
+              "68617264" "02000000" "3630" "80fde3d8");
+}
+
 /** An unbelievable length prefix poisons the stream: nothing after
  *  it is trusted (resync would require heuristics that can forge
  *  frames), and the tail counts as torn. */

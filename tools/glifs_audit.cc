@@ -335,16 +335,21 @@ runAudit(const Options &opts)
     std::printf("assembled %s: %zu words\n\n", opts.path.c_str(),
                 img.usedWords);
 
-    EngineCheckpoint resumed;
-    const EngineCheckpoint *resume = nullptr;
-    if (!opts.resumePath.empty()) {
-        // An unusable checkpoint (corrupt, truncated, version skew)
-        // degrades to a fresh run rather than failing: the snapshot
-        // only ever saved work, so losing it must only cost work.
+    IftEngine engine(soc, policy, opts.engineCfg);
+    EngineResult result;
+    if (opts.resumePath.empty()) {
+        result = engine.run(img);
+    } else {
+        // An unusable checkpoint (corrupt, truncated, version skew, or
+        // refused by the engine because it does not fit this image and
+        // netlist) degrades to a fresh run rather than failing: the
+        // snapshot only ever saved work, so losing it must only cost
+        // work. The engine refuses before it explores anything.
         try {
-            resumed = EngineCheckpoint::load(opts.resumePath);
-            resume = &resumed;
-            std::printf("resuming from %s (%llu cycles, %zu frontier "
+            const EngineCheckpoint resumed =
+                EngineCheckpoint::load(opts.resumePath);
+            result = engine.run(img, &resumed);
+            std::printf("resumed from %s (%llu cycles, %zu frontier "
                         "states)\n\n",
                         opts.resumePath.c_str(),
                         static_cast<unsigned long long>(
@@ -354,11 +359,9 @@ runAudit(const Options &opts)
             std::fprintf(stderr,
                          "glifs_audit: %s; starting a fresh run\n",
                          e.what());
+            result = engine.run(img);
         }
     }
-
-    IftEngine engine(soc, policy, opts.engineCfg);
-    EngineResult result = engine.run(img, resume);
     std::printf("analysis: %s\n\n", result.summary().c_str());
     printDegradations(result);
 
