@@ -300,36 +300,5 @@ Snapshot::json(int indent) const
     return oss.str();
 }
 
-std::string
-Snapshot::text() const
-{
-    size_t nameWidth = 0;
-    for (const SnapshotEntry &e : entries)
-        nameWidth = std::max(nameWidth, e.name.size());
-
-    std::ostringstream oss;
-    for (const SnapshotEntry &e : entries) {
-        oss << e.name
-            << std::string(nameWidth + 2 - e.name.size(), ' ');
-        switch (e.kind) {
-          case SnapshotEntry::Kind::Scalar:
-          case SnapshotEntry::Kind::Formula:
-            oss << num(e.value);
-            break;
-          case SnapshotEntry::Kind::Gauge:
-            oss << num(e.value) << " (peak " << num(e.peak) << ")";
-            break;
-          case SnapshotEntry::Kind::Distribution:
-            oss << e.count << " samples, mean " << num(e.value)
-                << ", min " << num(e.min) << ", max " << num(e.max);
-            break;
-        }
-        if (!e.desc.empty())
-            oss << "  # " << e.desc;
-        oss << "\n";
-    }
-    return oss.str();
-}
-
 } // namespace stats
 } // namespace glifs

@@ -15,8 +15,8 @@
  * Instrumented modules keep a function-local static struct of stats,
  * so the registry fills in lazily as subsystems are first exercised.
  * Snapshot() captures every registered stat; the snapshot renders as
- * nested JSON (grouped by the dotted name) or aligned human text, and
- * resetAll() rewinds every stat for interval measurements.
+ * nested JSON (grouped by the dotted name), and resetAll() rewinds
+ * every stat for interval measurements.
  */
 
 #ifndef GLIFS_BASE_STATS_HH
@@ -204,9 +204,6 @@ struct Snapshot
      * distributions as full histogram objects.
      */
     std::string json(int indent = 2) const;
-
-    /** Render as aligned "name value  # description" text lines. */
-    std::string text() const;
 };
 
 /**

@@ -42,11 +42,6 @@ encodePayload(const Event &e)
     std::string p;
     bytes::Writer w(p);
     switch (e.type) {
-      case EventType::Lifecycle:
-        w.str(e.phase);
-        w.u32(static_cast<uint32_t>(e.exitCode));
-        w.str(e.verdict);
-        break;
       case EventType::Heartbeat:
         w.u64(e.cycles);
         w.f64(e.elapsedSeconds);
@@ -63,11 +58,6 @@ encodePayload(const Event &e)
             w.f64(value);
         }
         break;
-      case EventType::BudgetUsage:
-        w.str(e.resource);
-        w.str(e.severity);
-        w.str(e.detail);
-        break;
     }
     return p;
 }
@@ -78,12 +68,6 @@ decodePayload(uint8_t type, std::string_view payload, Event &out)
 {
     bytes::Reader r(payload);
     switch (static_cast<EventType>(type)) {
-      case EventType::Lifecycle:
-        out.type = EventType::Lifecycle;
-        out.phase = r.str();
-        out.exitCode = static_cast<int>(r.u32());
-        out.verdict = r.str();
-        break;
       case EventType::Heartbeat:
         out.type = EventType::Heartbeat;
         out.cycles = r.u64();
@@ -102,12 +86,6 @@ decodePayload(uint8_t type, std::string_view payload, Event &out)
             out.stats.emplace_back(std::move(name), value);
         }
         break;
-      case EventType::BudgetUsage:
-        out.type = EventType::BudgetUsage;
-        out.resource = r.str();
-        out.severity = r.str();
-        out.detail = r.str();
-        break;
       default:
         return false; // feed() skips unknown types before decoding
     }
@@ -115,18 +93,6 @@ decodePayload(uint8_t type, std::string_view payload, Event &out)
 }
 
 } // namespace
-
-const char *
-eventTypeName(EventType t)
-{
-    switch (t) {
-      case EventType::Lifecycle: return "lifecycle";
-      case EventType::Heartbeat: return "heartbeat";
-      case EventType::StatsSnapshot: return "stats";
-      case EventType::BudgetUsage: return "budget";
-    }
-    return "?";
-}
 
 std::string
 encodeFrame(const Event &e)
@@ -223,8 +189,8 @@ Reader::feed(const void *data, size_t n, std::vector<Event> &out)
             ++crcErrorCount;
             continue;
         }
-        if (f.type < static_cast<uint8_t>(EventType::Lifecycle) ||
-            f.type > static_cast<uint8_t>(EventType::BudgetUsage))
+        if (f.type < static_cast<uint8_t>(EventType::Heartbeat) ||
+            f.type > static_cast<uint8_t>(EventType::StatsSnapshot))
             continue; // intact, but a type this reader does not know
         Event e;
         if (decodePayload(f.type, f.payload, e))

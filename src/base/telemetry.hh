@@ -4,9 +4,11 @@
  * process telemetry").
  *
  * A batch worker (`glifs_audit --telemetry-fd N`) streams structured
- * event records to the scheduler over an inherited pipe, so a fleet
- * run can observe per-job progress *while the workers run* instead of
- * waiting for their exit codes and log files.
+ * event records to the scheduler over an inherited pipe: a Heartbeat
+ * from every governor heartbeat while it runs, which is the stall
+ * watchdog's liveness signal and the live status file's progress,
+ * and one StatsSnapshot of its final stats registry as it exits. The
+ * outcome itself travels in the exit status and the run report.
  *
  * Wire format, one record frame per event (src/base/bytes.hh, shared
  * with the batch journal):
@@ -39,21 +41,16 @@ namespace glifs::telemetry
 {
 
 /**
- * Event record types (the u8 on the wire). Gaps stay reserved: 5 was
- * a retired type. The CRC covers the type byte, so an intact frame of
- * an unknown type (a newer writer's) is skipped without guessing at
- * it and without counting it as damage.
+ * Event record types (the u8 on the wire). Gaps stay reserved: 1, 4
+ * and 5 were retired types. The CRC covers the type byte, so an intact
+ * frame of an unknown type (an older or newer writer's) is skipped
+ * without guessing at it and without counting it as damage.
  */
 enum class EventType : uint8_t
 {
-    Lifecycle = 1,     ///< worker phase transition (started/finished)
     Heartbeat = 2,     ///< periodic progress from the governor poll point
-    StatsSnapshot = 3, ///< stats-registry sample (name/value pairs)
-    BudgetUsage = 4,   ///< a budget exhaustion
+    StatsSnapshot = 3, ///< the final stats registry (name/value pairs)
 };
-
-/** Printable name of an event type. */
-const char *eventTypeName(EventType t);
 
 /**
  * One decoded telemetry event. A tagged union in spirit: only the
@@ -62,12 +59,6 @@ const char *eventTypeName(EventType t);
 struct Event
 {
     EventType type = EventType::Heartbeat;
-
-    // Lifecycle: phase is "started" or "finished"; exitCode/verdict
-    // are set on "finished" (exitCode -1 = not yet known).
-    std::string phase;
-    int exitCode = -1;
-    std::string verdict;
 
     // Heartbeat (mirrors GovernorProgress).
     uint64_t cycles = 0;
@@ -80,12 +71,6 @@ struct Event
 
     // StatsSnapshot: dotted stat name -> value.
     std::vector<std::pair<std::string, double>> stats;
-
-    // BudgetUsage: resourceKindName / severity (always "hard") /
-    // free-form detail.
-    std::string resource;
-    std::string severity;
-    std::string detail;
 };
 
 /** Upper bound replay will believe for one frame's payload. */

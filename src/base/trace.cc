@@ -259,22 +259,5 @@ Tracer::writeJson(const std::string &path) const
         GLIFS_FATAL("error writing trace file ", path);
 }
 
-std::string
-Tracer::text() const
-{
-    std::ostringstream oss;
-    for (const Event &e : events()) {
-        oss << e.tsUs << "us " << e.cat << "." << e.name;
-        if (e.ph == 'X')
-            oss << " (" << e.durUs << "us)";
-        if (!e.args.empty())
-            oss << " {" << e.args << "}";
-        oss << "\n";
-    }
-    if (droppedCount)
-        oss << "(" << droppedCount << " older events dropped)\n";
-    return oss.str();
-}
-
 } // namespace trace
 } // namespace glifs

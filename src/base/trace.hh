@@ -104,7 +104,7 @@ class Tracer
     uint64_t dropped() const { return droppedCount; }
     void clear();
 
-    /** Events oldest-first (copies; for tests and text dumps). */
+    /** Events oldest-first (copies; for tests). */
     std::vector<Event> events() const;
 
     /** Number of recorded events with this category (tests). */
@@ -115,9 +115,6 @@ class Tracer
 
     /** Write json() to a file; FatalError on I/O failure. */
     void writeJson(const std::string &path) const;
-
-    /** Human-readable one-line-per-event dump (--debug-trace). */
-    std::string text() const;
 
     static constexpr size_t kDefaultCapacity = 1 << 16;
 

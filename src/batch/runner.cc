@@ -199,6 +199,26 @@ jsonArrayCount(const std::string &arrayText)
     return count;
 }
 
+/**
+ * The budget stop a run report records, as "<trigger> (<detail>)", or
+ * "" when the run was not stopped: its partial-stop degradation (at
+ * most one, since the stop ends the run). glifs_audit writes each
+ * degradation's `trigger` and `detail` after its `level`.
+ */
+std::string
+budgetStop(const std::string &report)
+{
+    std::string rest = jsonArrayField(report, "degradations");
+    for (size_t at; (at = valueStart(rest, "level")) != std::string::npos;) {
+        const bool stop = jsonStringField(rest, "level") == "partial-stop";
+        rest.erase(0, at); // the keys after this degradation's level
+        if (stop)
+            return jsonStringField(rest, "trigger") + " (" +
+                   jsonStringField(rest, "detail") + ")";
+    }
+    return "";
+}
+
 /** Collapse a pretty-printed JSON fragment onto one line. */
 std::string
 squashWhitespace(const std::string &s)
@@ -235,11 +255,11 @@ struct JobRun
     std::string reportFile;     ///< per-attempt run report (rewritten)
     std::string traceFile;      ///< per-attempt worker trace (merge input)
     JobOutcome outcome;
-    unsigned attempt = 0;       ///< attempts launched so far
-    bool fromJournal = false;   ///< outcome replayed; never ran here
+    unsigned attempt = 0;       ///< attempts submitted so far
     bool resumeCheckpoint = false; ///< crashed run left a checkpoint
 
-    // Live view fed by worker telemetry (the status file's payload).
+    // Live view fed by the scheduler and worker telemetry (the status
+    // file's payload). An attempt is pending until its worker forks.
     std::string state = "pending"; ///< pending|running|finished|cached|journal
     uint64_t heartbeats = 0;
     uint64_t cycles = 0;
@@ -248,7 +268,8 @@ struct JobRun
     uint64_t trackedStates = 0;
     uint64_t rssBytes = 0;
     double budgetUsed = 0;
-    /** The worker's most recent stats snapshot (name -> value). */
+    /** The running worker's final stats snapshot (name -> value),
+     *  folded into BatchReport::workerStats when it is reaped. */
     std::map<std::string, double> lastStats;
 };
 
@@ -278,9 +299,9 @@ runnerStats()
  * The live `glifs.batch_status.v1` surface: one small JSON document,
  * atomically republished (write temp, rename over) so a reader never
  * sees a torn file. Republishing is throttled — heartbeats arrive per
- * worker per 50-250ms, and rewriting the file for each would be pure
- * churn — but lifecycle transitions always force a publish so "a job
- * just finished" is immediately visible.
+ * worker every 250ms, and rewriting the file for each would be pure
+ * churn — but a job starting or finishing always forces a publish so
+ * "a job just finished" is immediately visible.
  */
 class StatusPublisher
 {
@@ -598,9 +619,16 @@ runBatch(const Manifest &manifest, const BatchOptions &options)
 
     StatusPublisher status(options.statusFilePath, report, runs);
 
+    // A job runs from the fork of its worker: the status file shows
+    // it at once.
+    sched.setStartSink([&](uint64_t id) {
+        runs[static_cast<size_t>(id)].state = "running";
+        status.publish(true);
+    });
+
     // Live worker telemetry: heartbeats update the per-job progress
-    // view (and the status file), stats snapshots feed the batch-wide
-    // aggregation, lifecycle transitions force a status republish.
+    // view (and the status file); the worker's final stats snapshot
+    // waits in lastStats until the worker is reaped.
     sched.setTelemetrySink([&](uint64_t id, const telemetry::Event &e) {
         JobRun &run = runs[static_cast<size_t>(id)];
         switch (e.type) {
@@ -618,19 +646,6 @@ runBatch(const Manifest &manifest, const BatchOptions &options)
             run.lastStats.clear();
             for (const auto &[name, value] : e.stats)
                 run.lastStats[name] = value;
-            break;
-          case telemetry::EventType::Lifecycle:
-            if (e.phase == "started") {
-                run.state = "running";
-                status.publish(true);
-            }
-            break;
-          case telemetry::EventType::BudgetUsage:
-            if (options.verbose) {
-                std::printf("[%s] budget exhausted: %s (%s)\n",
-                            run.outcome.name.c_str(),
-                            e.resource.c_str(), e.detail.c_str());
-            }
             break;
         }
     });
@@ -679,6 +694,9 @@ runBatch(const Manifest &manifest, const BatchOptions &options)
             t.argv.push_back("--max-rss");
             t.argv.push_back(std::to_string(budgets.maxRssMb));
         }
+        // The report is this attempt's alone: one that dies before
+        // writing it must not be read as an earlier attempt's.
+        std::remove(run.reportFile.c_str());
         t.argv.push_back("--stats-json");
         t.argv.push_back(run.reportFile);
         t.argv.push_back("--checkpoint");
@@ -689,20 +707,11 @@ runBatch(const Manifest &manifest, const BatchOptions &options)
             t.argv.push_back(run.checkpointFile);
             run.outcome.resumed = true;
         }
-        if (options.stallTimeoutSeconds > 0) {
-            // Heartbeat into the worker log (stderr is redirected
-            // there) several times per stall window, so a live-but-
-            // slow worker always grows its log under the watchdog.
-            double period =
-                std::max(options.stallTimeoutSeconds / 4.0, 0.05);
-            std::ostringstream flag;
-            flag << "--progress=" << period;
-            t.argv.push_back(flag.str());
-            t.stallTimeoutSeconds = options.stallTimeoutSeconds;
-        }
         // Every worker streams telemetry back over the inherited pipe
-        // (the scheduler puts its write end on the contract fd).
+        // (the scheduler puts its write end on the contract fd); its
+        // heartbeats there are what the stall watchdog watches.
         t.telemetryPipe = true;
+        t.stallTimeoutSeconds = options.stallTimeoutSeconds;
         t.argv.push_back("--telemetry-fd");
         t.argv.push_back(
             std::to_string(ProcessScheduler::kTelemetryChildFd));
@@ -717,7 +726,7 @@ runBatch(const Manifest &manifest, const BatchOptions &options)
             t.argv.push_back(run.traceFile);
         }
         t.outputPath = stem + ".log";
-        run.state = "running";
+        run.state = "pending";
         sched.submit(std::move(t));
     };
 
@@ -737,7 +746,6 @@ runBatch(const Manifest &manifest, const BatchOptions &options)
         if (prior != alreadyFinished.end()) {
             run.outcome = prior->second;
             run.outcome.name = job.name;
-            run.fromJournal = true;
             run.state = "journal";
             journal.jobFinished(static_cast<uint32_t>(i),
                                 run.outcome);
@@ -807,6 +815,21 @@ runBatch(const Manifest &manifest, const BatchOptions &options)
         JobOutcome &out = run.outcome;
         out.wallSeconds += res.wallSeconds;
 
+        // Every worker process's final stats join the fleet rollup,
+        // whether or not its attempt is retried.
+        for (const auto &[name, value] : run.lastStats)
+            report.workerStats[name] += value;
+        run.lastStats.clear();
+
+        // This attempt's run report: a budget stop first, and for the
+        // last attempt the verdict and violations.
+        const std::string rep = readFileIfAny(run.reportFile);
+        const std::string stop = budgetStop(rep);
+        if (options.verbose && !stop.empty()) {
+            std::printf("[%s] budget exhausted: %s\n", out.name.c_str(),
+                        stop.c_str());
+        }
+
         // Map abnormal ends onto the exit-code contract: a backstop
         // or watchdog kill is a degraded run (retryable, and the
         // SIGTERM gave the worker a checkpoint to resume); a crash,
@@ -854,7 +877,6 @@ runBatch(const Manifest &manifest, const BatchOptions &options)
           case 2: out.verdict = "unknown-degraded"; break;
           default: out.verdict = "error"; break;
         }
-        std::string rep = readFileIfAny(run.reportFile);
         if (!rep.empty()) {
             applyReport(out, rep);
             if (code <= 1 && cache.store(run.key, rep))
@@ -863,9 +885,6 @@ runBatch(const Manifest &manifest, const BatchOptions &options)
         }
         journal.jobFinished(static_cast<uint32_t>(idx), out);
         run.state = "finished";
-        // Fold this worker's last stats sample into the fleet rollup.
-        for (const auto &[name, value] : run.lastStats)
-            report.workerStats[name] += value;
         status.publish(true);
         if (options.verbose) {
             std::printf("[%s] %s (exit %d, %u attempt(s), %.2fs)\n",

@@ -55,11 +55,11 @@ struct BatchReport
     double wallSeconds = 0;
     std::vector<JobOutcome> jobs;
     /**
-     * Worker stats aggregated over the fleet: each worker's last
-     * telemetry stats snapshot, summed across jobs by stat name.
-     * Empty when no telemetry arrived (workers too short-lived to
-     * heartbeat, or telemetry unavailable). Rendered as the report's
-     * "worker_stats" object.
+     * Worker stats aggregated over the fleet: the final stats snapshot
+     * each worker process sends over its telemetry pipe as it exits,
+     * summed by stat name over every attempt of every job. A worker
+     * whose pipe failed, or that died before its snapshot, adds
+     * nothing. Rendered as the report's "worker_stats" object.
      */
     std::map<std::string, double> workerStats;
 
@@ -94,17 +94,16 @@ struct BatchOptions
      */
     std::string resumeJournalPath;
     /**
-     * Stall watchdog (0 = off): workers whose log stops growing for
-     * this many seconds get SIGTERM (checkpoint-then-exit), then
-     * SIGKILL. Enables the worker's `--progress` heartbeat. Worker
-     * telemetry also feeds the watchdog: a job whose pipe still
-     * carries heartbeats is never presumed stalled.
+     * Stall watchdog (0 = off): workers whose telemetry pipe carries
+     * no bytes for this many seconds get SIGTERM (checkpoint-then-
+     * exit), then SIGKILL. Workers heartbeat on the pipe every 0.25 s;
+     * their log output does not count.
      */
     double stallTimeoutSeconds = 0;
     /**
      * Live status surface ("" = off): a `glifs.batch_status.v1` JSON
-     * document atomically republished (temp + rename) on every worker
-     * telemetry batch and lifecycle transition, with per-job
+     * document atomically republished (temp + rename) on worker
+     * heartbeats and whenever a job starts or finishes, with per-job
      * state/progress/cycle counts and batch rollups
      * (docs/OBSERVABILITY.md, "Streaming batch status").
      */

@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -70,16 +69,6 @@ secondsSince(Clock::time_point t)
     return std::chrono::duration<double>(Clock::now() - t).count();
 }
 
-/** Size of @p path, or -1 when it cannot be statted. */
-int64_t
-fileSize(const std::string &path)
-{
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0)
-        return -1;
-    return static_cast<int64_t>(st.st_size);
-}
-
 } // namespace
 
 struct ProcessScheduler::Running
@@ -90,7 +79,6 @@ struct ProcessScheduler::Running
     bool killed = false;       ///< SIGKILL sent (backstop or stall)
     // Stall-watchdog state.
     Clock::time_point lastProgress;
-    int64_t lastLogSize = -1;
     bool termSent = false;
     Clock::time_point termTime;
     // Telemetry-pipe state (-1 = no pipe / already closed).
@@ -128,7 +116,7 @@ ProcessScheduler::spawn(ProcTask task, std::vector<Running> &running)
         faultfs::pipe2(telPipe, O_CLOEXEC | O_NONBLOCK) != 0) {
         GLIFS_WARN("telemetry pipe for task ", task.id,
                    " failed: ", std::strerror(errno),
-                   "; worker runs unobserved");
+                   "; worker runs unobserved, stall watchdog off");
         ++schedStats().telemetryPipeFailures;
         telPipe[0] = telPipe[1] = -1;
     }
@@ -206,8 +194,8 @@ ProcessScheduler::spawn(ProcTask task, std::vector<Running> &running)
  * Drain one worker's telemetry pipe without blocking: decode whatever
  * arrived, hand events to the sink, and treat any arriving bytes as
  * liveness for the stall watchdog (a worker that still heartbeats
- * over the pipe is reaching its governor poll point even if its log
- * is quiet). EOF or a hard read error retires the fd.
+ * over the pipe is reaching its governor poll point). EOF or a hard
+ * read error retires the fd.
  */
 bool
 ProcessScheduler::drainTelemetry(Running &r)
@@ -283,13 +271,14 @@ ProcessScheduler::idleWait(const std::vector<Running> &running)
 }
 
 /**
- * Stall detection: the worker's heartbeat (and all its other output)
- * lands in its log file, so a log that stops growing for the stall
- * timeout means the worker is no longer reaching its governor poll
- * point — wedged, not just slow. Escalate SIGTERM (the worker
- * checkpoints and exits like any governed stop) and, after a grace
- * period, SIGKILL. Both are distinct from the wall-clock backstop:
- * a slow-but-heartbeating worker is never touched by the watchdog.
+ * Stall detection: the worker's heartbeat lands on its telemetry
+ * pipe, so a pipe that stays silent for the stall timeout means the
+ * worker is no longer reaching its governor poll point — wedged, not
+ * just slow. Escalate SIGTERM (the worker checkpoints and exits like
+ * any governed stop) and, after a grace period, SIGKILL. Both are
+ * distinct from the wall-clock backstop: a slow-but-heartbeating
+ * worker is never touched by the watchdog, and a worker without an
+ * open pipe is watched by the backstop alone.
  */
 void
 ProcessScheduler::watchdog(Running &r)
@@ -305,7 +294,7 @@ ProcessScheduler::watchdog(Running &r)
         return;
     }
 
-    if (r.task.stallTimeoutSeconds <= 0 || r.task.outputPath.empty())
+    if (r.task.stallTimeoutSeconds <= 0)
         return;
 
     if (r.termSent) {
@@ -319,13 +308,8 @@ ProcessScheduler::watchdog(Running &r)
         return;
     }
 
-    int64_t size = fileSize(r.task.outputPath);
-    if (size != r.lastLogSize) {
-        r.lastLogSize = size;
-        r.lastProgress = Clock::now();
-        return;
-    }
-    if (secondsSince(r.lastProgress) > r.task.stallTimeoutSeconds) {
+    if (r.telFd >= 0 &&
+        secondsSince(r.lastProgress) > r.task.stallTimeoutSeconds) {
         GLIFS_WARN("worker ", r.pid, " made no progress for ",
                    r.task.stallTimeoutSeconds,
                    "s; sending SIGTERM (checkpoint-then-exit)");
@@ -347,7 +331,10 @@ ProcessScheduler::run(const DoneFn &onDone)
             ProcTask task = std::move(pending.front());
             pending.pop_front();
             uint64_t id = task.id;
-            if (!spawn(std::move(task), running)) {
+            if (spawn(std::move(task), running)) {
+                if (startFn)
+                    startFn(id);
+            } else {
                 ProcResult res;
                 res.id = id;
                 res.spawnFailed = true;
@@ -415,7 +402,7 @@ ProcessScheduler::run(const DoneFn &onDone)
             }
             // The write end is closed, so everything the worker ever
             // managed to send is sitting in the pipe: drain to EOF so
-            // its final lifecycle/stats frames land before onDone.
+            // its final stats frame lands before onDone.
             if (r.telFd >= 0) {
                 drainTelemetry(r);
                 if (r.telFd >= 0) {

@@ -19,13 +19,13 @@
  *     surfaced, as a `spawnFailed` result, never a fatal abort;
  *   - the reap loop is EINTR-safe and treats unexpected waitpid
  *     errors as a crashed worker rather than an invariant violation;
- *   - a per-task progress watchdog watches the worker's log file
- *     (where the governor heartbeat lands) and escalates
- *     SIGTERM → SIGKILL on stall. SIGTERM first, because a live
- *     worker snapshots its checkpoint on SIGTERM — the watchdog
- *     recovers wedged workers without losing their state. This is
- *     distinct from `killAfterSeconds`, the wall-clock SIGKILL
- *     backstop.
+ *   - a per-task stall watchdog watches the worker's telemetry pipe
+ *     (where its governor heartbeat lands) and escalates
+ *     SIGTERM → SIGKILL when no bytes arrive for the stall timeout.
+ *     SIGTERM first, because a live worker snapshots its checkpoint
+ *     on SIGTERM — the watchdog recovers wedged workers without
+ *     losing their state. This is distinct from `killAfterSeconds`,
+ *     the wall-clock SIGKILL backstop.
  *
  * Per-job analysis timeouts are the worker's own `--deadline` budget
  * (the engine degrades gracefully and exits 2); the scheduler's
@@ -61,15 +61,18 @@ struct ProcTask
      * `--telemetry-fd 3` into argv), the read end is multiplexed by
      * the scheduler and decoded events reach the telemetry sink. If
      * the pipe cannot be created the worker just runs without one —
-     * its writer self-disables on the dead fd.
+     * its writer self-disables on the dead fd — under the kill
+     * backstop alone: the stall watchdog is off for it.
      */
     bool telemetryPipe = false;
     /**
-     * Stall watchdog (0 = off): if `outputPath` stops growing for this
-     * many seconds the worker is presumed wedged and SIGTERMed (it can
-     * still checkpoint); SIGKILL follows if it ignores the SIGTERM.
-     * Only meaningful when the worker emits a heartbeat into its log
-     * (`--progress`) faster than this period.
+     * Stall watchdog (0 = off): if no bytes arrive on the telemetry
+     * pipe for this many seconds the worker is presumed wedged and
+     * SIGTERMed (it can still checkpoint); SIGKILL follows if it
+     * ignores the SIGTERM. Needs `telemetryPipe`, and a worker that
+     * heartbeats on it faster than this period (glifs_audit
+     * --telemetry-fd beats every 0.25 s); what the worker writes to
+     * its log does not count.
      */
     double stallTimeoutSeconds = 0;
 };
@@ -91,6 +94,8 @@ class ProcessScheduler
 {
   public:
     using DoneFn = std::function<void(const ProcResult &)>;
+    /** Task @p id's worker process was just forked. */
+    using StartFn = std::function<void(uint64_t id)>;
     /** Decoded telemetry event from the worker running task @p id. */
     using TelemetryFn =
         std::function<void(uint64_t id, const telemetry::Event &)>;
@@ -103,11 +108,16 @@ class ProcessScheduler
 
     /**
      * Receive decoded telemetry events, in arrival order, from this
-     * thread (interleaved with onDone calls). Events also feed the
-     * stall watchdog: a worker whose telemetry still flows is never
-     * presumed wedged, even if its log stops growing.
+     * thread (interleaved with onDone calls). The bytes that carry
+     * them are also the stall watchdog's only liveness signal.
      */
     void setTelemetrySink(TelemetryFn fn) { telemetryFn = std::move(fn); }
+
+    /**
+     * Hear of each successful fork, from this thread: a submitted task
+     * is only queued until then.
+     */
+    void setStartSink(StartFn fn) { startFn = std::move(fn); }
 
     /**
      * Run until the queue and all workers drain. @p onDone fires in
@@ -138,6 +148,7 @@ class ProcessScheduler
     unsigned jobs;
     std::deque<ProcTask> pending;
     TelemetryFn telemetryFn;
+    StartFn startFn;
 };
 
 } // namespace glifs::batch

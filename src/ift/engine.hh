@@ -90,9 +90,8 @@ struct EngineConfig
      * set, the governor fires progressFn about every progressSeconds
      * from its per-cycle poll point — the same clock that services
      * budget checks and SIGINT-safe stop requests (glifs_audit
-     * --progress). Exploration events themselves go to the structured
-     * tracer (base/trace.hh) when it is enabled, replacing the old
-     * debugTrace stderr prints.
+     * --progress and --telemetry-fd). Exploration events themselves go
+     * to the structured tracer (base/trace.hh) when it is enabled.
      */
     double progressSeconds = 0.0;
     ResourceGovernor::ProgressFn progressFn;

@@ -6,7 +6,6 @@
 
 #include "base/stats.hh"
 #include "base/strutil.hh"
-#include "base/telemetry.hh"
 #include "base/trace.hh"
 
 #ifdef __linux__
@@ -45,45 +44,6 @@ govStats()
 {
     static GovernorStats s;
     return s;
-}
-
-/** Emit every Nth telemetry heartbeat as a full stats snapshot. */
-constexpr uint64_t kStatsSnapshotEvery = 4;
-
-/**
- * Push one heartbeat over the worker's telemetry pipe (no-op unless
- * glifs_audit armed the Writer with --telemetry-fd), folding in a
- * periodic stats-registry sample so the scheduler can aggregate
- * worker stats without waiting for run reports.
- */
-void
-emitTelemetryHeartbeat(const GovernorProgress &p, uint64_t beatIndex)
-{
-    telemetry::Writer &w = telemetry::Writer::instance();
-    if (!w.enabled())
-        return;
-    telemetry::Event e;
-    e.type = telemetry::EventType::Heartbeat;
-    e.cycles = p.cycles;
-    e.elapsedSeconds = p.elapsedSeconds;
-    e.cyclesPerSec = p.cyclesPerSec;
-    e.frontier = p.frontier;
-    e.states = p.states;
-    e.rssBytes = p.rssBytes;
-    e.budgetUsed = p.budgetUsed;
-    w.emit(e);
-
-    if (beatIndex % kStatsSnapshotEvery != 1)
-        return;
-    telemetry::Event snap;
-    snap.type = telemetry::EventType::StatsSnapshot;
-    for (const stats::SnapshotEntry &entry :
-         stats::Registry::instance().snapshot().entries) {
-        if (entry.kind == stats::SnapshotEntry::Kind::Distribution)
-            continue; // histograms don't fold into one number
-        snap.stats.emplace_back(entry.name, entry.value);
-    }
-    w.emit(snap);
 }
 
 } // namespace
@@ -287,7 +247,6 @@ ResourceGovernor::maybeHeartbeat()
                    static_cast<double>(p.states));
         tr.counter("governor", "cycles_per_sec", p.cyclesPerSec);
     }
-    emitTelemetryHeartbeat(p, govStats().heartbeats.value());
     heartbeatFn(p);
 }
 
@@ -312,17 +271,6 @@ ResourceGovernor::poll()
     GLIFS_TRACE_INSTANT_ARGS("governor", "hard_budget",
                              add("kind", resourceKindName(ev->kind))
                                  .add("detail", ev->detail));
-    telemetry::Writer &w = telemetry::Writer::instance();
-    if (w.enabled()) {
-        telemetry::Event te;
-        te.type = telemetry::EventType::BudgetUsage;
-        te.resource = resourceKindName(ev->kind);
-        // The wire format keeps its severity field; every budget
-        // event is an exhaustion.
-        te.severity = "hard";
-        te.detail = ev->detail;
-        w.emit(te);
-    }
     return ev;
 }
 

@@ -339,15 +339,15 @@ TEST(ExploreParity, JobsOneIsTheSerialEngine)
     }
 }
 
-/** A job count below 1, the retired worker mode and the retired
- *  *-logic retry switch are usage errors (exit 3), not silently
- *  ignored. */
+/** A job count below 1, the retired worker mode, the retired *-logic
+ *  retry switch and the retired text trace dump are usage errors
+ *  (exit 3), not silently ignored. */
 TEST(ExploreParity, BadJobCountAndWorkerModeAreUsageErrors)
 {
     const std::string dir = tempDir("usage");
     const std::string asmFile = materializeWorkload(dir, "tHold");
-    for (const char *flag :
-         {"--explore-jobs 0", "--explore-worker", "--no-retry"}) {
+    for (const char *flag : {"--explore-jobs 0", "--explore-worker",
+                             "--no-retry", "--debug-trace"}) {
         SCOPED_TRACE(flag);
         EXPECT_EQ(runAudit(dir, asmFile, flag).exitCode, 3);
     }

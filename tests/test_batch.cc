@@ -28,6 +28,7 @@
 #include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/stats.hh"
+#include "base/telemetry.hh"
 #include "base/version.hh"
 #include "batch/cache.hh"
 #include "batch/journal.hh"
@@ -845,17 +846,24 @@ TEST(SchedulerTest, CallbackMaySubmitFollowUpWork)
     EXPECT_EQ(order[1], 1u);
 }
 
+/** A task with a telemetry pipe, as the batch runner submits each
+ *  worker: fd 3 in the shell is the pipe's write end. */
+ProcTask
+watchedTask(uint64_t id, const std::string &script, double stallSeconds)
+{
+    ProcTask t = shellTask(id, script);
+    t.telemetryPipe = true;
+    t.stallTimeoutSeconds = stallSeconds;
+    t.killAfterSeconds = 30;
+    return t;
+}
+
 TEST(SchedulerTest, StallWatchdogEscalatesOnSilentWorker)
 {
-    std::string dir = tempDir("sched_stall");
     ProcessScheduler sched(1);
-    // One line of output, then total silence: a wedged worker. The
-    // watchdog must SIGTERM it long before the 30s backstop.
-    ProcTask t = shellTask(1, "echo started; sleep 30");
-    t.outputPath = dir + "/stall.log";
-    t.stallTimeoutSeconds = 0.4;
-    t.killAfterSeconds = 30;
-    sched.submit(t);
+    // Nothing ever arrives on the pipe: a wedged worker. The watchdog
+    // must SIGTERM it long before the 30s backstop.
+    sched.submit(watchedTask(1, "exec sleep 30", 0.4));
     ProcResult got;
     sched.run([&](const ProcResult &r) { got = r; });
     EXPECT_TRUE(got.stalled);
@@ -867,18 +875,80 @@ TEST(SchedulerTest, StallWatchdogEscalatesOnSilentWorker)
 TEST(SchedulerTest, StallWatchdogSparesHeartbeatingWorkers)
 {
     std::string dir = tempDir("sched_heartbeat");
+    telemetry::Event beat;
+    beat.type = telemetry::EventType::Heartbeat;
+    beat.cycles = 100;
+    const std::string frame = dir + "/beat.bin";
+    writeFile(frame, telemetry::encodeFrame(beat));
+    // Slower than the stall timeout overall, but a heartbeat frame
+    // reaches the pipe every 0.2 s: a live worker must never be
+    // escalated on.
     ProcessScheduler sched(1);
-    // Slower than the stall timeout overall, but the log keeps
-    // growing — a live worker must never be escalated on.
-    ProcTask t = shellTask(
-        1, "for i in 1 2 3 4 5 6; do echo beat; sleep 0.2; done");
-    t.outputPath = dir + "/beat.log";
-    t.stallTimeoutSeconds = 0.6;
-    sched.submit(t);
+    sched.submit(watchedTask(
+        1,
+        "for i in 1 2 3 4 5 6; do cat " + frame +
+            " >&3; sleep 0.2; done",
+        0.6));
+    uint64_t beats = 0;
+    sched.setTelemetrySink(
+        [&](uint64_t, const telemetry::Event &) { ++beats; });
     ProcResult got;
     sched.run([&](const ProcResult &r) { got = r; });
     EXPECT_FALSE(got.stalled);
     EXPECT_EQ(got.exitCode, 0);
+    EXPECT_EQ(beats, 6u);
+}
+
+/** Only the pipe counts: a worker that keeps writing its log but
+ *  never its pipe is stalled all the same. */
+TEST(SchedulerTest, StallWatchdogIgnoresLogOutput)
+{
+    std::string dir = tempDir("sched_logonly");
+    ProcessScheduler sched(1);
+    ProcTask t = watchedTask(
+        1, "i=0; while [ $i -lt 300 ]; do echo beat; sleep 0.1; "
+           "i=$((i+1)); done",
+        0.6);
+    t.outputPath = dir + "/beat.log";
+    sched.submit(t);
+    ProcResult got;
+    sched.run([&](const ProcResult &r) { got = r; });
+    EXPECT_TRUE(got.stalled);
+    EXPECT_FALSE(got.killedOnTimeout);
+    EXPECT_LT(got.wallSeconds, 10.0);
+    EXPECT_NE(readFile(t.outputPath).find("beat"), std::string::npos);
+}
+
+/** A worker whose pipe could not be created has no liveness signal:
+ *  the stall watchdog leaves it to the kill backstop. */
+TEST(SchedulerTest, StallWatchdogNeedsAPipe)
+{
+    faultfs::setPlan("pipe:1:EMFILE");
+    ProcessScheduler sched(1);
+    sched.submit(watchedTask(1, "sleep 1", 0.3));
+    ProcResult got;
+    sched.run([&](const ProcResult &r) { got = r; });
+    faultfs::clearPlan();
+    EXPECT_FALSE(got.stalled);
+    EXPECT_EQ(got.exitCode, 0);
+}
+
+/** The start sink hears of each fork, after the task was queued and
+ *  before it is reaped. */
+TEST(SchedulerTest, StartSinkFiresWhenTheWorkerForks)
+{
+    ProcessScheduler sched(1);
+    sched.submit(shellTask(1, "exit 0"));
+    sched.submit(shellTask(2, "exit 0"));
+    std::vector<std::string> order;
+    sched.setStartSink([&](uint64_t id) {
+        order.push_back("start " + std::to_string(id));
+    });
+    sched.run([&](const ProcResult &r) {
+        order.push_back("done " + std::to_string(r.id));
+    });
+    EXPECT_EQ(order, (std::vector<std::string>{"start 1", "done 1",
+                                               "start 2", "done 2"}));
 }
 
 // ---------------------------------------------------------------------
@@ -1060,6 +1130,66 @@ TEST(BatchEndToEndTest, NoCacheRunsEveryJob)
     BatchReport second = runBatch(m, opts);
     EXPECT_EQ(second.jobs[0].cache, CacheStatus::Disabled);
     EXPECT_EQ(second.jobs[0].attempts, 1u);
+}
+
+/** Each attempt is judged by its own run report: its budget stop is
+ *  printed once, before the retry, and a retry that dies before writing
+ *  a report ends as an error, not with the verdict of the degraded
+ *  attempt before it. The worker is a script standing in for
+ *  glifs_audit: the first attempt writes a report that degraded twice
+ *  (a *-logic path whose detail quotes a partial-stop, then the budget
+ *  stop), a checkpoint, and exits 2; the retry, which resumes, dies on
+ *  a signal. */
+TEST(BatchEndToEndTest, EachAttemptIsReadFromItsOwnReport)
+{
+    std::string dir = tempDir("e2e_own_report");
+    const std::string worker = dir + "/fake_audit.sh";
+    writeFile(worker,
+              "#!/bin/sh\n"
+              "while [ $# -gt 0 ]; do\n"
+              "  case \"$1\" in\n"
+              "    --stats-json) report=$2; shift ;;\n"
+              "    --checkpoint) ckpt=$2; shift ;;\n"
+              "    --resume) kill -9 $$ ;;\n"
+              "  esac\n"
+              "  shift\n"
+              "done\n"
+              "touch \"$ckpt\"\n"
+              "echo '{\"verdict\": \"unknown-degraded\", "
+              "\"exit_code\": 2, \"analysis\": {\"violations\": [], "
+              "\"degradations\": [{\"level\": \"star-logic-path\", "
+              "\"trigger\": \"branch-fanout\", \"detail\": "
+              "\"not \\\"level\\\": \\\"partial-stop\\\"\"}, "
+              "{\"level\": \"partial-stop\", \"trigger\": "
+              "\"cycles\", \"detail\": \"60 simulated cycles\"}]}}' "
+              "> \"$report\"\n"
+              "exit 2\n");
+    ASSERT_EQ(::chmod(worker.c_str(), 0755), 0);
+    Manifest m = parseManifest("retry max-attempts 2\n"
+                               "job j\n    workload mult\n");
+    BatchOptions opts = fleetOptions(dir);
+    opts.noCache = true;
+    opts.auditBinary = worker;
+    opts.verbose = true;
+
+    ::testing::internal::CaptureStdout();
+    BatchReport r = runBatch(m, opts);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    const std::string stop =
+        "[j] budget exhausted: cycles (60 simulated cycles)\n";
+    const size_t stopAt = out.find(stop);
+    ASSERT_NE(stopAt, std::string::npos) << out;
+    EXPECT_EQ(out.find("budget exhausted", stopAt + stop.size()),
+              std::string::npos)
+        << out;
+    EXPECT_LT(stopAt, out.find("[j] attempt 1 degraded")) << out;
+
+    ASSERT_EQ(r.jobs.size(), 1u);
+    EXPECT_EQ(r.jobs[0].attempts, 2u);
+    EXPECT_TRUE(r.jobs[0].resumed);
+    EXPECT_EQ(r.jobs[0].exitCode, 3);
+    EXPECT_EQ(r.jobs[0].verdict, "error");
+    EXPECT_EQ(r.jobs[0].detail, "worker crashed (signal)");
 }
 
 TEST(BatchEndToEndTest, ReportJsonCarriesTheContract)

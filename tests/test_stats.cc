@@ -329,14 +329,6 @@ TEST(StatSnapshot, JsonRoundTrip)
     EXPECT_TRUE(j.has("test_stats_json.hist.bins"));
 }
 
-TEST(StatSnapshot, TextMentionsEveryStat)
-{
-    Scalar s{"test_stats_text.one", "described here"};
-    std::string text = Registry::instance().snapshot().text();
-    EXPECT_NE(text.find("test_stats_text.one"), std::string::npos);
-    EXPECT_NE(text.find("described here"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------
 // Tracer
 // ---------------------------------------------------------------------

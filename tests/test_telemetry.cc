@@ -6,10 +6,11 @@
  * contract (full pipe drops, EPIPE self-disables), faultfs-driven
  * short read/write delivery, and end-to-end batch runs — a worker
  * killed -9 mid-stream leaves a decodable prefix, `--status-file`
- * shows live per-job progress before any job exits, and
- * `--trace-merge` produces one pid lane per job plus aggregated
- * worker stats in the batch report. Carries the `telemetry` ctest
- * label; CI runs it in both the tier-1 and sanitize jobs.
+ * shows live per-job progress before any job exits and queued jobs
+ * as pending, and `--trace-merge` produces one pid lane per job plus
+ * every worker's final stats summed in the batch report. Carries the
+ * `telemetry` ctest label; CI runs it in both the tier-1 and sanitize
+ * jobs.
  */
 
 #include <gtest/gtest.h>
@@ -89,17 +90,6 @@ sampleHeartbeat()
 }
 
 Event
-sampleLifecycle()
-{
-    Event e;
-    e.type = EventType::Lifecycle;
-    e.phase = "finished";
-    e.exitCode = 1;
-    e.verdict = "violations";
-    return e;
-}
-
-Event
 sampleStats()
 {
     Event e;
@@ -109,26 +99,13 @@ sampleStats()
     return e;
 }
 
-Event
-sampleBudget()
-{
-    Event e;
-    e.type = EventType::BudgetUsage;
-    e.resource = "cycles";
-    e.severity = "hard";
-    e.detail = "cycles hard threshold (60 simulated cycles)";
-    return e;
-}
-
 // ------------------------------------------------------------------
 // Framing: encode/decode round trips and corruption tolerance.
 // ------------------------------------------------------------------
 
 TEST(TelemetryFraming, RoundTripsEveryEventType)
 {
-    const std::vector<Event> in = {sampleLifecycle(),
-                                   sampleHeartbeat(), sampleStats(),
-                                   sampleBudget()};
+    const std::vector<Event> in = {sampleHeartbeat(), sampleStats()};
     std::string stream;
     for (const Event &e : in)
         stream += telemetry::encodeFrame(e);
@@ -142,36 +119,24 @@ TEST(TelemetryFraming, RoundTripsEveryEventType)
     EXPECT_EQ(r.tornFrames(), 0u);
     ASSERT_EQ(out.size(), in.size());
 
-    EXPECT_EQ(out[0].type, EventType::Lifecycle);
-    EXPECT_EQ(out[0].phase, "finished");
-    EXPECT_EQ(out[0].exitCode, 1);
-    EXPECT_EQ(out[0].verdict, "violations");
+    EXPECT_EQ(out[0].type, EventType::Heartbeat);
+    EXPECT_EQ(out[0].cycles, 123456u);
+    EXPECT_DOUBLE_EQ(out[0].elapsedSeconds, 1.5);
+    EXPECT_DOUBLE_EQ(out[0].cyclesPerSec, 82304.25);
+    EXPECT_EQ(out[0].frontier, 17u);
+    EXPECT_EQ(out[0].states, 42u);
+    EXPECT_EQ(out[0].rssBytes, 9ull << 20);
+    EXPECT_DOUBLE_EQ(out[0].budgetUsed, 0.25);
 
-    EXPECT_EQ(out[1].type, EventType::Heartbeat);
-    EXPECT_EQ(out[1].cycles, 123456u);
-    EXPECT_DOUBLE_EQ(out[1].elapsedSeconds, 1.5);
-    EXPECT_DOUBLE_EQ(out[1].cyclesPerSec, 82304.25);
-    EXPECT_EQ(out[1].frontier, 17u);
-    EXPECT_EQ(out[1].states, 42u);
-    EXPECT_EQ(out[1].rssBytes, 9ull << 20);
-    EXPECT_DOUBLE_EQ(out[1].budgetUsed, 0.25);
-
-    EXPECT_EQ(out[2].type, EventType::StatsSnapshot);
-    ASSERT_EQ(out[2].stats.size(), 3u);
-    EXPECT_EQ(out[2].stats[0].first, "engine.cycles");
-    EXPECT_DOUBLE_EQ(out[2].stats[1].second, 1.25e6);
-
-    EXPECT_EQ(out[3].type, EventType::BudgetUsage);
-    EXPECT_EQ(out[3].resource, "cycles");
-    EXPECT_EQ(out[3].severity, "hard");
-    EXPECT_EQ(out[3].detail,
-              "cycles hard threshold (60 simulated cycles)");
+    EXPECT_EQ(out[1].type, EventType::StatsSnapshot);
+    EXPECT_EQ(out[1].stats, sampleStats().stats);
 }
 
 TEST(TelemetryFraming, ByteAtATimeFeedStillDecodes)
 {
-    const std::string stream = telemetry::encodeFrame(sampleStats()) +
-                               telemetry::encodeFrame(sampleBudget());
+    const std::string stream =
+        telemetry::encodeFrame(sampleStats()) +
+        telemetry::encodeFrame(sampleHeartbeat());
     Reader r;
     std::vector<Event> out;
     for (char c : stream)
@@ -179,7 +144,9 @@ TEST(TelemetryFraming, ByteAtATimeFeedStillDecodes)
     EXPECT_FALSE(r.finish());
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].type, EventType::StatsSnapshot);
-    EXPECT_EQ(out[1].type, EventType::BudgetUsage);
+    EXPECT_EQ(out[0].stats, sampleStats().stats);
+    EXPECT_EQ(out[1].type, EventType::Heartbeat);
+    EXPECT_EQ(out[1].cycles, 123456u);
 }
 
 /** Every possible truncation point: whole frames before the cut
@@ -189,9 +156,9 @@ TEST(TelemetryFraming, ByteAtATimeFeedStillDecodes)
 TEST(TelemetryFraming, TruncationSweepNeverMisparses)
 {
     std::vector<std::string> frames = {
-        telemetry::encodeFrame(sampleLifecycle()),
         telemetry::encodeFrame(sampleHeartbeat()),
         telemetry::encodeFrame(sampleStats()),
+        telemetry::encodeFrame(sampleHeartbeat()),
     };
     std::string stream;
     std::vector<size_t> boundaries = {0};
@@ -221,7 +188,7 @@ TEST(TelemetryFraming, TruncationSweepNeverMisparses)
  *  frame boundary stays intact, so the next frame still decodes. */
 TEST(TelemetryFraming, BodyBitFlipCostsOnlyThatFrame)
 {
-    const std::string frame = telemetry::encodeFrame(sampleBudget());
+    const std::string frame = telemetry::encodeFrame(sampleStats());
     const std::string follower =
         telemetry::encodeFrame(sampleHeartbeat());
 
@@ -246,76 +213,25 @@ TEST(TelemetryFraming, BodyBitFlipCostsOnlyThatFrame)
     }
 }
 
-/** Type codes without a decoder stay reserved (5 was a retired type):
- *  a well-formed frame of one is skipped without counting it as
- *  damage, and the stream decodes on around it. */
-TEST(TelemetryFraming, ReservedTypeCostsOnlyThatFrame)
+void
+putLe(std::string &out, uint64_t v, int bytes)
 {
-    // u32 len | u8 type | payload | u32 crc32(type + payload), built
-    // by hand because encodeFrame only frames known types. The
-    // payload is what type 5 used to carry: phase, lane, cycles,
-    // detail.
-    std::string body(1, '\x05');
-    auto putLe = [](std::string &out, uint64_t v, int bytes) {
-        for (int i = 0; i < bytes; ++i)
-            out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    };
-    auto putStr = [&](const std::string &v) {
-        putLe(body, v.size(), 4);
-        body += v;
-    };
-    putStr("steal");
-    putLe(body, 1, 8);
-    putLe(body, 40, 8);
-    putStr("");
-    std::string reserved;
-    putLe(reserved, body.size() - 1, 4);
-    reserved += body;
-    putLe(reserved, crc32(body), 4);
-
-    const std::string stream = telemetry::encodeFrame(sampleHeartbeat()) +
-                               reserved +
-                               telemetry::encodeFrame(sampleLifecycle());
-    Reader r;
-    std::vector<Event> out;
-    r.feed(stream.data(), stream.size(), out);
-    EXPECT_FALSE(r.finish());
-    EXPECT_FALSE(r.poisoned());
-    EXPECT_EQ(r.tornFrames(), 0u);
-    // The frame is intact (its CRC covers the type byte): skipped, not
-    // counted as pipe damage.
-    EXPECT_EQ(r.crcErrors(), 0u);
-    EXPECT_EQ(r.frames(), 2u);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0].type, EventType::Heartbeat);
-    EXPECT_EQ(out[0].cycles, 123456u);
-    EXPECT_EQ(out[1].type, EventType::Lifecycle);
-    EXPECT_EQ(out[1].verdict, "violations");
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
 }
 
-/** A known type whose payload does not parse is still counted: the
- *  writer framed something it could not have written. */
-TEST(TelemetryFraming, MalformedPayloadOfAKnownTypeIsCounted)
+/** `u32 len | u8 type | payload | u32 crc32(type + payload)`, built
+ *  by hand because encodeFrame only frames the types it knows. */
+std::string
+rawFrame(uint8_t type, const std::string &payload)
 {
-    // A Lifecycle frame whose payload is too short for its phase
-    // string's length prefix, with a valid CRC.
-    const std::string body("\x01\x02\x00", 3);
-    auto putLe = [](std::string &out, uint64_t v, int bytes) {
-        for (int i = 0; i < bytes; ++i)
-            out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    };
+    const std::string body = std::string(1, static_cast<char>(type)) +
+                             payload;
     std::string frame;
-    putLe(frame, body.size() - 1, 4);
+    putLe(frame, payload.size(), 4);
     frame += body;
     putLe(frame, crc32(body), 4);
-
-    Reader r;
-    std::vector<Event> out;
-    r.feed(frame.data(), frame.size(), out);
-    EXPECT_FALSE(r.finish());
-    EXPECT_EQ(r.crcErrors(), 1u);
-    EXPECT_EQ(r.frames(), 0u);
-    EXPECT_TRUE(out.empty());
+    return frame;
 }
 
 std::string
@@ -330,23 +246,88 @@ toHex(const std::string &bytes)
     return hex;
 }
 
-/** Every frame type byte for byte: `u32 len | u8 type | payload |
+std::string
+fromHex(const std::string &hex)
+{
+    std::string bytes;
+    for (size_t i = 0; i + 1 < hex.size(); i += 2)
+        bytes.push_back(static_cast<char>(
+            std::stoi(hex.substr(i, 2), nullptr, 16)));
+    return bytes;
+}
+
+/** Type codes without a decoder stay reserved: an intact frame of one
+ *  is skipped without counting it as damage, and the stream decodes on
+ *  around it. Types 1 (a worker's start and finish) and 4 (a budget
+ *  exhaustion) are what an older worker still writes, byte for byte;
+ *  5 is the payload a retired type carried. */
+TEST(TelemetryFraming, ReservedTypeCostsOnlyThatFrame)
+{
+    // Type 1: "finished", exit code 1, "violations".
+    const std::string finished = fromHex(
+        "1e000000" "01" "08000000" "66696e6973686564" "01000000"
+        "0a000000" "76696f6c6174696f6e73" "3522f816");
+    // Type 4: "cycles", "hard", "60".
+    const std::string budget = fromHex(
+        "18000000" "04" "06000000" "6379636c6573" "04000000"
+        "68617264" "02000000" "3630" "80fde3d8");
+    // Type 5: phase, lane, cycles, detail.
+    std::string steal;
+    putLe(steal, 5, 4);
+    steal += "steal";
+    putLe(steal, 1, 8);
+    putLe(steal, 40, 8);
+    putLe(steal, 0, 4);
+
+    const std::string stream = telemetry::encodeFrame(sampleHeartbeat()) +
+                               finished + budget + rawFrame(5, steal) +
+                               telemetry::encodeFrame(sampleStats());
+    Reader r;
+    std::vector<Event> out;
+    r.feed(stream.data(), stream.size(), out);
+    EXPECT_FALSE(r.finish());
+    EXPECT_FALSE(r.poisoned());
+    EXPECT_EQ(r.tornFrames(), 0u);
+    // The frames are intact (their CRC covers the type byte): skipped,
+    // not counted as pipe damage.
+    EXPECT_EQ(r.crcErrors(), 0u);
+    EXPECT_EQ(r.frames(), 2u);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].type, EventType::Heartbeat);
+    EXPECT_EQ(out[0].cycles, 123456u);
+    EXPECT_EQ(out[1].type, EventType::StatsSnapshot);
+    EXPECT_EQ(out[1].stats, sampleStats().stats);
+}
+
+/** A known type whose payload does not parse is still counted: the
+ *  writer framed something it could not have written. */
+TEST(TelemetryFraming, MalformedPayloadOfAKnownTypeIsCounted)
+{
+    // A Heartbeat three bytes long, where its seven fields need 56;
+    // and a StatsSnapshot promising one pair and carrying none. Both
+    // behind a valid CRC.
+    std::string oneStat;
+    putLe(oneStat, 1, 4);
+    const std::string stream = rawFrame(2, std::string("\x01\x02\x03", 3)) +
+                               rawFrame(3, oneStat);
+
+    Reader r;
+    std::vector<Event> out;
+    r.feed(stream.data(), stream.size(), out);
+    EXPECT_FALSE(r.finish());
+    EXPECT_EQ(r.crcErrors(), 2u);
+    EXPECT_EQ(r.frames(), 0u);
+    EXPECT_TRUE(out.empty());
+}
+
+/** Both frame types byte for byte: `u32 len | u8 type | payload |
  *  u32 crc32(type + payload)`, integers little-endian, doubles as
  *  their IEEE-754 bits. */
 TEST(TelemetryFraming, GoldenBytes)
 {
-    Event budget;
-    budget.type = EventType::BudgetUsage;
-    budget.resource = "cycles";
-    budget.severity = "hard";
-    budget.detail = "60";
     Event stats;
     stats.type = EventType::StatsSnapshot;
     stats.stats = {{"a.b", 2.5}};
-    // Lifecycle: "finished", exit code 1, "violations".
-    EXPECT_EQ(toHex(telemetry::encodeFrame(sampleLifecycle())),
-              "1e000000" "01" "08000000" "66696e6973686564" "01000000"
-              "0a000000" "76696f6c6174696f6e73" "3522f816");
     // Heartbeat: cycles, elapsed, cycles/s, frontier, states, RSS,
     // budget used.
     EXPECT_EQ(toHex(telemetry::encodeFrame(sampleHeartbeat())),
@@ -357,10 +338,6 @@ TEST(TelemetryFraming, GoldenBytes)
     EXPECT_EQ(toHex(telemetry::encodeFrame(stats)),
               "13000000" "03" "01000000" "03000000" "612e62"
               "0000000000000440" "4b6b08c6");
-    // BudgetUsage: "cycles", "hard", "60".
-    EXPECT_EQ(toHex(telemetry::encodeFrame(budget)),
-              "18000000" "04" "06000000" "6379636c6573" "04000000"
-              "68617264" "02000000" "3630" "80fde3d8");
 }
 
 /** An unbelievable length prefix poisons the stream: nothing after
@@ -490,7 +467,7 @@ TEST(TelemetryFaultfs, InjectedShortWriteLeavesTornDecodableTail)
     const std::string dir = tempDir("shortwrite");
     const std::string path = dir + "/stream.bin";
     const std::string whole = telemetry::encodeFrame(sampleStats());
-    const std::string half = telemetry::encodeFrame(sampleBudget());
+    const std::string half = telemetry::encodeFrame(sampleHeartbeat());
 
     int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     ASSERT_GE(fd, 0);
@@ -522,7 +499,7 @@ TEST(TelemetryFaultfs, InjectedShortReadOnlyDelaysFrames)
     const std::string dir = tempDir("shortread");
     const std::string path = dir + "/stream.bin";
     const std::string stream =
-        telemetry::encodeFrame(sampleLifecycle()) +
+        telemetry::encodeFrame(sampleStats()) +
         telemetry::encodeFrame(sampleHeartbeat());
     {
         std::ofstream out(path, std::ios::binary);
@@ -549,7 +526,7 @@ TEST(TelemetryFaultfs, InjectedShortReadOnlyDelaysFrames)
     // buffers the partial frame across feeds.
     EXPECT_FALSE(r.finish());
     ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0].type, EventType::Lifecycle);
+    EXPECT_EQ(out[0].type, EventType::StatsSnapshot);
     EXPECT_EQ(out[1].type, EventType::Heartbeat);
     std::filesystem::remove_all(dir);
 }
@@ -585,9 +562,10 @@ runCmd(const std::string &cmd)
     return WEXITSTATUS(status);
 }
 
-/** A worker killed -9 mid-run leaves a decodable stream prefix: the
- *  frames written before the kill parse cleanly and the stream never
- *  poisons (frames on a pipe are atomic under kMaxAtomicFrame). */
+/** A worker killed -9 mid-run, after its first heartbeat, leaves a
+ *  decodable stream prefix: the frames written before the kill parse
+ *  cleanly and the stream never poisons (frames on a pipe are atomic
+ *  under kMaxAtomicFrame). */
 TEST(TelemetryEndToEnd, SigkillMidRunLeavesDecodableStream)
 {
     const std::string dir = tempDir("sigkill");
@@ -617,8 +595,8 @@ TEST(TelemetryEndToEnd, SigkillMidRunLeavesDecodableStream)
     }
     ::close(telPipe[1]);
 
-    // Collect frames until at least two arrive (the immediate
-    // lifecycle "started" plus one heartbeat), then kill -9.
+    // Collect frames until the first one (a heartbeat, 0.25 s in)
+    // arrives, then kill -9.
     Reader r;
     std::vector<Event> events;
     char buf[4096];
@@ -636,7 +614,7 @@ TEST(TelemetryEndToEnd, SigkillMidRunLeavesDecodableStream)
         else if (errno != EAGAIN && errno != EINTR)
             break;
         if (!killed &&
-            (events.size() >= 2 ||
+            (!events.empty() ||
              std::chrono::steady_clock::now() > deadline)) {
             ::kill(pid, SIGKILL);
             killed = true;
@@ -653,8 +631,8 @@ TEST(TelemetryEndToEnd, SigkillMidRunLeavesDecodableStream)
     EXPECT_FALSE(r.poisoned());
     EXPECT_EQ(r.crcErrors(), 0u);
     ASSERT_GE(events.size(), 1u);
-    EXPECT_EQ(events[0].type, EventType::Lifecycle);
-    EXPECT_EQ(events[0].phase, "started");
+    EXPECT_EQ(events[0].type, EventType::Heartbeat);
+    EXPECT_GT(events[0].cycles, 0u);
     std::filesystem::remove_all(dir);
 }
 
@@ -736,9 +714,32 @@ TEST(TelemetryEndToEnd, StatusFileShowsLiveProgressBeforeAnyExit)
     std::filesystem::remove_all(dir);
 }
 
+/** The number after `"key": ` at or after @p from in a glifs JSON
+ *  document; -1 when absent. */
+double
+numberAfter(const std::string &doc, const std::string &key,
+            size_t from = 0)
+{
+    const std::string needle = "\"" + key + "\": ";
+    const size_t at = doc.find(needle, from);
+    if (from == std::string::npos || at == std::string::npos)
+        return -1;
+    return std::strtod(doc.c_str() + at + needle.size(), nullptr);
+}
+
+/** `engine.cycles` in a run report's nested stats snapshot. */
+double
+reportEngineCycles(const std::string &report)
+{
+    return numberAfter(report, "cycles",
+                       report.find("\"engine\": {",
+                                   report.find("\"stats\":")));
+}
+
 /** `--trace-merge` yields one Chrome trace with a pid lane and a
- *  process_name record per job, and the batch report aggregates the
- *  workers' final stats snapshots into "worker_stats". */
+ *  process_name record per job, and the batch report's "worker_stats"
+ *  sums the final stats of every worker: both of them, in full, even
+ *  when they finish before their first heartbeat. */
 TEST(TelemetryEndToEnd, MergedTraceHasPerJobLanesAndWorkerStats)
 {
     const std::string dir = tempDir("tracemerge");
@@ -786,8 +787,97 @@ TEST(TelemetryEndToEnd, MergedTraceHasPerJobLanesAndWorkerStats)
 
     const std::string rep = readFile(report);
     ASSERT_FALSE(rep.empty());
-    EXPECT_NE(rep.find("\"worker_stats\""), std::string::npos);
-    EXPECT_NE(rep.find("\"engine.cycles\""), std::string::npos);
+    const size_t workerStats = rep.find("\"worker_stats\"");
+    ASSERT_NE(workerStats, std::string::npos);
+    EXPECT_EQ(numberAfter(rep, "engine.runs", workerStats), 2);
+    const double multCycles = reportEngineCycles(
+        readFile(dir + "/work/job0_mult.report.json"));
+    const double tholdCycles = reportEngineCycles(
+        readFile(dir + "/work/job1_thold.report.json"));
+    EXPECT_GT(multCycles, 0);
+    EXPECT_GT(tholdCycles, 0);
+    EXPECT_EQ(numberAfter(rep, "engine.cycles", workerStats),
+              multCycles + tholdCycles);
+    std::filesystem::remove_all(dir);
+}
+
+size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    size_t n = 0;
+    for (size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
+/** A job is running from the fork of its worker, not from its
+ *  submission: with one worker slot, the two jobs queued behind the
+ *  first read pending. */
+TEST(TelemetryEndToEnd, QueuedJobsStayPendingUntilSpawned)
+{
+    const std::string dir = tempDir("queued");
+    const std::string manifestFile = dir + "/fleet.manifest";
+    {
+        std::ofstream out(manifestFile);
+        out << "batch queued fleet\n";
+        for (int i = 1; i <= 3; ++i)
+            out << "job s" << i << "\n    workload inSort\n";
+    }
+    const std::string statusFile = dir + "/status.json";
+
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        int devnull = ::open("/dev/null", O_WRONLY);
+        if (devnull >= 0) {
+            ::dup2(devnull, 1);
+            ::dup2(devnull, 2);
+        }
+        ::execl(GLIFS_BATCH_BIN, GLIFS_BATCH_BIN,
+                manifestFile.c_str(), "--jobs", "1", "--no-cache",
+                "--quiet", "--work-dir", (dir + "/work").c_str(),
+                "--cache-dir", (dir + "/cache").c_str(),
+                "--audit-bin", GLIFS_AUDIT_BIN, "--status-file",
+                statusFile.c_str(), (char *)nullptr);
+        ::_exit(127);
+    }
+
+    // Every snapshot shows at most the one job the slot allows as
+    // running; the first that shows one shows the other two pending.
+    std::string firstRunning;
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(60);
+    while (std::chrono::steady_clock::now() < deadline) {
+        int status = 0;
+        const bool exited = ::waitpid(pid, &status, WNOHANG) == pid;
+        const std::string snap = readFile(statusFile);
+        EXPECT_LE(countOf(snap, "\"state\": \"running\""), 1u) << snap;
+        EXPECT_LE(numberAfter(snap, "jobs_running"), 1) << snap;
+        if (firstRunning.empty() &&
+            countOf(snap, "\"state\": \"running\"") > 0)
+            firstRunning = snap;
+        if (exited) {
+            pid = -1;
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (pid > 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+        FAIL() << "batch did not finish";
+    }
+    ASSERT_FALSE(firstRunning.empty())
+        << "status file never showed a running job";
+    EXPECT_EQ(countOf(firstRunning, "\"state\": \"running\""), 1u)
+        << firstRunning;
+    EXPECT_EQ(countOf(firstRunning, "\"state\": \"pending\""), 2u)
+        << firstRunning;
+    EXPECT_EQ(numberAfter(firstRunning, "jobs_running"), 1)
+        << firstRunning;
+    const std::string final = readFile(statusFile);
+    EXPECT_EQ(countOf(final, "\"state\": \"finished\""), 3u) << final;
     std::filesystem::remove_all(dir);
 }
 

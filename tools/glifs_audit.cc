@@ -54,12 +54,10 @@
  *                      (default 1) seconds, fired from the governor
  *                      poll point: cycles/s, frontier, states, RSS,
  *                      budget %
- *   --debug-trace      legacy alias: enable tracing and dump the
- *                      events as text to stderr at exit (in addition
- *                      to --trace-out, if given)
- *   --telemetry-fd N   stream framed telemetry events (lifecycle,
- *                      heartbeats, stats snapshots, budget exhaustion)
- *                      over inherited fd N to a supervising scheduler
+ *   --telemetry-fd N   stream framed telemetry over inherited fd N
+ *                      to a supervising scheduler: a heartbeat every
+ *                      --progress period (else every 0.25 s) and one
+ *                      snapshot of the final stats registry at exit
  *                      (docs/OBSERVABILITY.md, "Cross-process
  *                      telemetry"); degrades silently to a no-op when
  *                      the fd is unusable or the reader goes away
@@ -118,7 +116,7 @@ usage()
         "[--max-rss MB] [--max-states N]\n"
         "                   [--checkpoint FILE] [--resume FILE]\n"
         "                   [--stats-json FILE] [--trace-out FILE] "
-        "[--progress[=SECS]] [--debug-trace]\n"
+        "[--progress[=SECS]]\n"
         "                   [--telemetry-fd N] [--explore-jobs N]\n");
     std::exit(kExitUsage);
 }
@@ -182,7 +180,6 @@ struct Options
     bool fix = false;
     bool star = false;
     bool taintCode = false;
-    bool debugTrace = false;
     double progressSeconds = 0.0;
     int telemetryFd = -1;
     unsigned interval = 1;
@@ -193,8 +190,8 @@ struct Options
  * stderr heartbeat line (fired from the governor poll point). Built
  * in one buffer and pushed with a single fwrite + fflush: when a
  * batch scheduler captures this stream into a per-job log, the line
- * must land atomically — a stall watchdog or a human tailing the log
- * should never see an interleaved or partial heartbeat.
+ * must land atomically — a human tailing the log should never see an
+ * interleaved or partial heartbeat.
  */
 void
 printProgress(const GovernorProgress &p)
@@ -212,6 +209,44 @@ printProgress(const GovernorProgress &p)
     std::fwrite(line, 1, std::min(static_cast<size_t>(n),
                                   sizeof(line) - 1), stderr);
     std::fflush(stderr);
+}
+
+/** The telemetry Heartbeat frame (a no-op without --telemetry-fd). */
+void
+emitHeartbeat(const GovernorProgress &p)
+{
+    telemetry::Event e;
+    e.type = telemetry::EventType::Heartbeat;
+    e.cycles = p.cycles;
+    e.elapsedSeconds = p.elapsedSeconds;
+    e.cyclesPerSec = p.cyclesPerSec;
+    e.frontier = p.frontier;
+    e.states = p.states;
+    e.rssBytes = p.rssBytes;
+    e.budgetUsed = p.budgetUsed;
+    telemetry::Writer::instance().emit(e);
+}
+
+/**
+ * The final stats registry as one StatsSnapshot frame (a no-op
+ * without --telemetry-fd): the batch scheduler sums every worker's
+ * into its report's worker_stats when it reaps the worker.
+ */
+void
+emitFinalStats()
+{
+    telemetry::Writer &w = telemetry::Writer::instance();
+    if (!w.enabled())
+        return;
+    telemetry::Event e;
+    e.type = telemetry::EventType::StatsSnapshot;
+    for (const stats::SnapshotEntry &entry :
+         stats::Registry::instance().snapshot().entries) {
+        if (entry.kind == stats::SnapshotEntry::Kind::Distribution)
+            continue; // histograms don't fold into one number
+        e.stats.emplace_back(entry.name, entry.value);
+    }
+    w.emit(e);
 }
 
 /**
@@ -291,7 +326,7 @@ writeRunReport(const std::string &path, const EngineResult &r,
  * never leave the operator guessing which resource ran out).
  */
 void
-printBudgetUsage(const Options &opts, const EngineResult &r)
+printBudgetConsumption(const Options &opts, const EngineResult &r)
 {
     const ResourceBudgets &b = opts.engineCfg.budgets;
     std::ostringstream oss;
@@ -370,7 +405,7 @@ runAudit(const Options &opts)
     // readable run report with the final exit code baked in.
     auto finish = [&](const EngineResult &r, int code) {
         if (r.verdict() == Verdict::UnknownDegraded)
-            printBudgetUsage(opts, r);
+            printBudgetConsumption(opts, r);
         if (!opts.statsJsonPath.empty())
             writeRunReport(opts.statsJsonPath, r, code);
         return code;
@@ -510,8 +545,6 @@ main(int argc, char **argv)
             opts.statsJsonPath = next();
         else if (arg == "--trace-out")
             opts.traceOutPath = next();
-        else if (arg == "--debug-trace")
-            opts.debugTrace = true;
         else if (arg == "--telemetry-fd")
             opts.telemetryFd = static_cast<int>(nextNum());
         else if (arg == "--explore-jobs") {
@@ -548,92 +581,67 @@ main(int argc, char **argv)
     std::signal(SIGINT, onStopSignal);
     std::signal(SIGTERM, onStopSignal);
 
-    if (opts.telemetryFd >= 0) {
-        // Arm the cross-process telemetry writer over the inherited
-        // pipe fd; everything downstream is fire-and-forget.
+    // Arm the cross-process telemetry writer over the inherited pipe
+    // fd; everything downstream is fire-and-forget.
+    if (opts.telemetryFd >= 0)
         telemetry::Writer::instance().open(opts.telemetryFd);
-        telemetry::Event started;
-        started.type = telemetry::EventType::Lifecycle;
-        started.phase = "started";
-        telemetry::Writer::instance().emit(started);
+
+    // One heartbeat, fired from the governor's per-cycle poll point
+    // and so sharing a clock with budget checks and the SIGINT-safe
+    // stop above (docs/OBSERVABILITY.md): the --progress line when it
+    // was asked for, and the telemetry Heartbeat frame, whose arrival
+    // is the batch stall watchdog's liveness signal. Without
+    // --progress it ticks every 0.25 s (the emit is one non-blocking
+    // write) and keeps stderr quiet.
+    const bool printLine = opts.progressSeconds > 0;
+    if (printLine || telemetry::Writer::instance().enabled()) {
+        opts.engineCfg.progressSeconds =
+            printLine ? opts.progressSeconds : 0.25;
+        opts.engineCfg.progressFn = [printLine](const GovernorProgress &p) {
+            if (printLine)
+                printProgress(p);
+            emitHeartbeat(p);
+        };
     }
 
-    if (opts.progressSeconds > 0) {
-        // The heartbeat fires from the governor's per-cycle poll
-        // point, sharing a clock with budget checks and the
-        // SIGINT-safe stop above (docs/OBSERVABILITY.md).
-        opts.engineCfg.progressSeconds = opts.progressSeconds;
-        opts.engineCfg.progressFn = printProgress;
-    } else if (telemetry::Writer::instance().enabled()) {
-        // Telemetry wants the heartbeat clock running even when the
-        // human-readable progress line is off: tick fast (the emit
-        // itself is a single non-blocking write) and keep stderr
-        // quiet.
-        opts.engineCfg.progressSeconds = 0.25;
-        opts.engineCfg.progressFn = [](const GovernorProgress &) {};
-    }
-
-    if (!opts.traceOutPath.empty() || opts.debugTrace)
+    if (!opts.traceOutPath.empty())
         trace::Tracer::instance().enable();
 
     // Flush trace output on every exit path, including thrown errors,
     // so an aborted run still leaves its breadcrumbs behind.
     auto flushTrace = [&opts]() {
-        trace::Tracer &tr = trace::Tracer::instance();
-        if (!tr.enabled())
+        if (opts.traceOutPath.empty())
             return;
-        if (!opts.traceOutPath.empty()) {
-            tr.writeJson(opts.traceOutPath);
-            std::printf("trace written to %s (load in chrome://tracing "
-                        "or Perfetto)\n",
-                        opts.traceOutPath.c_str());
-        }
-        if (opts.debugTrace)
-            std::fputs(tr.text().c_str(), stderr);
-    };
-
-    // The closing lifecycle frame carries the exit-code contract, so
-    // the scheduler learns the outcome from the stream itself — even
-    // before (or without) reading the run report.
-    auto emitFinished = [](int code) {
-        telemetry::Writer &w = telemetry::Writer::instance();
-        if (!w.enabled())
-            return;
-        telemetry::Event e;
-        e.type = telemetry::EventType::Lifecycle;
-        e.phase = "finished";
-        e.exitCode = code;
-        e.verdict = code == kExitSecure       ? "secure"
-                    : code == kExitViolations ? "violations"
-                    : code == kExitDegraded   ? "unknown-degraded"
-                                              : "error";
-        w.emit(e);
+        trace::Tracer::instance().writeJson(opts.traceOutPath);
+        std::printf("trace written to %s (load in chrome://tracing "
+                    "or Perfetto)\n",
+                    opts.traceOutPath.c_str());
     };
 
     try {
         int code = runAudit(opts);
         flushTrace();
-        emitFinished(code);
+        emitFinalStats();
         return code;
     } catch (const FatalError &e) {
         // User-level input errors (policy file, firmware, netlist
         // validation): one-line diagnostic, never a raw abort.
         std::fprintf(stderr, "glifs_audit: %s\n", e.what());
         flushTrace();
-        emitFinished(kExitUsage);
+        emitFinalStats();
         return kExitUsage;
     } catch (const RecoverableError &e) {
         // Unusable checkpoint or comparable recoverable condition the
         // CLI cannot recover from by itself.
         std::fprintf(stderr, "glifs_audit: %s\n", e.what());
         flushTrace();
-        emitFinished(kExitUsage);
+        emitFinalStats();
         return kExitUsage;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "glifs_audit: internal error: %s\n",
                      e.what());
         flushTrace();
-        emitFinished(kExitUsage);
+        emitFinalStats();
         return kExitUsage;
     }
 }

@@ -22,9 +22,10 @@
  *   --resume-batch FILE  replay FILE from a crashed run: finished
  *                    jobs are reported from the journal, only the
  *                    rest run (docs/ROBUSTNESS.md, "Crash recovery")
- *   --stall-timeout SECS  SIGTERM (then SIGKILL) workers whose log
- *                    stops growing for SECS (0 = off, the default);
- *                    live worker telemetry also counts as progress
+ *   --stall-timeout SECS  SIGTERM (then SIGKILL) workers whose
+ *                    telemetry pipe stays silent for SECS (0 = off,
+ *                    the default); workers heartbeat on it every
+ *                    0.25 s, and their log output does not count
  *   --status-file FILE  continuously publish a glifs.batch_status.v1
  *                    JSON snapshot (atomic rename) with per-job
  *                    state/progress fed by live worker telemetry
