@@ -158,7 +158,7 @@ recordSegmentStarts(PathSim &ps, size_t limit)
     ps.setInputs(true);
     ps.sim.step();
     SymState s(ps.layout);
-    s.capture(ps.layout, ps.sim.state());
+    s.capture(ps.layout, ps.sim);
     std::vector<SymState> starts;
     while (starts.size() < limit) {
         starts.push_back(s);
@@ -206,12 +206,14 @@ BENCHMARK(BM_SegmentReplay);
 void
 BM_SymStateCapture(benchmark::State &state)
 {
+    // The engine's capture: flops read from the planes, memories
+    // copied a plane word at a time.
     Soc &soc = sharedSoc();
     Simulator sim(soc.netlist());
     SymLayout layout(soc.netlist());
     SymState s(layout);
     for (auto _ : state) {
-        s.capture(layout, sim.state());
+        s.capture(layout, sim);
         benchmark::DoNotOptimize(s.numSlots());
     }
     state.SetItemsProcessed(state.iterations() * layout.slots());
@@ -221,14 +223,14 @@ BENCHMARK(BM_SymStateCapture);
 void
 BM_SymStateRestore(benchmark::State &state)
 {
+    // The engine's restore, through the simulator's tracked setters.
     Soc &soc = sharedSoc();
     Simulator sim(soc.netlist());
     SymLayout layout(soc.netlist());
     SymState s(layout);
-    SignalState &sigs = sim.state();
-    s.capture(layout, sigs);
+    s.capture(layout, sim);
     for (auto _ : state) {
-        s.restore(layout, sigs);
+        s.restore(layout, sim);
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * layout.slots());
@@ -242,7 +244,7 @@ BM_SymStateSubsume(benchmark::State &state)
     Simulator sim(soc.netlist());
     SymLayout layout(soc.netlist());
     SymState a(layout);
-    a.capture(layout, sim.state());
+    a.capture(layout, sim);
     SymState b = a;
     for (auto _ : state)
         benchmark::DoNotOptimize(a.subsumedBy(b));
@@ -257,7 +259,7 @@ BM_SymStateMerge(benchmark::State &state)
     Simulator sim(soc.netlist());
     SymLayout layout(soc.netlist());
     SymState a(layout);
-    a.capture(layout, sim.state());
+    a.capture(layout, sim);
     SymState b = a;
     b.setSlot(0, sigBool(1, true));
     for (auto _ : state) {
@@ -286,7 +288,7 @@ BM_CheckpointSaveRestore(benchmark::State &state)
                                            soc.netlist().numNets());
     ck.everTainted = BitPlane(soc.netlist().numNets());
     SymState s(layout);
-    s.capture(layout, sim.state());
+    s.capture(layout, sim);
     for (int64_t i = 0; i < state.range(0); ++i) {
         ck.frontier.emplace_back(s, static_cast<uint32_t>(i));
         ck.tree.push_back(ExecNode{});

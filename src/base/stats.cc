@@ -12,12 +12,8 @@ namespace glifs
 namespace stats
 {
 
-namespace
-{
-
-/** Render a double without trailing noise (integers stay integral). */
 std::string
-num(double v)
+jsonNumber(double v)
 {
     if (std::isfinite(v) && v == std::floor(v) &&
         std::abs(v) < 1e15) {
@@ -34,8 +30,6 @@ num(double v)
         return "0";
     return s;
 }
-
-} // namespace
 
 bool
 validStatName(const std::string &name)
@@ -228,20 +222,20 @@ entryJson(const SnapshotEntry &e, const std::string &pad)
     switch (e.kind) {
       case SnapshotEntry::Kind::Scalar:
       case SnapshotEntry::Kind::Formula:
-        return num(e.value);
+        return jsonNumber(e.value);
       case SnapshotEntry::Kind::Gauge:
-        return "{\"value\": " + num(e.value) +
-               ", \"peak\": " + num(e.peak) + "}";
+        return "{\"value\": " + jsonNumber(e.value) +
+               ", \"peak\": " + jsonNumber(e.peak) + "}";
       case SnapshotEntry::Kind::Distribution: {
         std::ostringstream oss;
         oss << "{\n"
             << pad << "  \"count\": " << e.count << ",\n"
-            << pad << "  \"sum\": " << num(e.sum) << ",\n"
-            << pad << "  \"min\": " << num(e.min) << ",\n"
-            << pad << "  \"max\": " << num(e.max) << ",\n"
-            << pad << "  \"mean\": " << num(e.value) << ",\n"
-            << pad << "  \"bin_lo\": " << num(e.binLo) << ",\n"
-            << pad << "  \"bin_hi\": " << num(e.binHi) << ",\n"
+            << pad << "  \"sum\": " << jsonNumber(e.sum) << ",\n"
+            << pad << "  \"min\": " << jsonNumber(e.min) << ",\n"
+            << pad << "  \"max\": " << jsonNumber(e.max) << ",\n"
+            << pad << "  \"mean\": " << jsonNumber(e.value) << ",\n"
+            << pad << "  \"bin_lo\": " << jsonNumber(e.binLo) << ",\n"
+            << pad << "  \"bin_hi\": " << jsonNumber(e.binHi) << ",\n"
             << pad << "  \"underflow\": " << e.underflow << ",\n"
             << pad << "  \"overflow\": " << e.overflow << ",\n"
             << pad << "  \"bins\": [";

@@ -231,6 +231,12 @@ class Registry
 /** True iff @p name is dotted-lowercase: [a-z0-9_]+(\.[a-z0-9_]+)+ */
 bool validStatName(const std::string &name);
 
+/**
+ * A stat value as a JSON number, as snapshots print it: integral values
+ * as exact integers, others to 12 significant digits.
+ */
+std::string jsonNumber(double v);
+
 } // namespace stats
 } // namespace glifs
 

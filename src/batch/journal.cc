@@ -82,8 +82,10 @@ BatchJournal
 BatchJournal::create(const std::string &path,
                      const std::string &fingerprint)
 {
+    // Close-on-exec: a worker must never hold, or write, the journal.
     int fd = faultfs::open(path.c_str(),
-                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
+                           O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                           0644);
     if (fd < 0) {
         GLIFS_WARN("cannot create batch journal ", path, ": ",
                    std::strerror(errno),

@@ -532,7 +532,7 @@ BatchReport::json() const
     bool firstStat = true;
     for (const auto &[name, value] : workerStats) {
         oss << (firstStat ? "\n" : ",\n") << "    "
-            << jsonQuote(name) << ": " << value;
+            << jsonQuote(name) << ": " << stats::jsonNumber(value);
         firstStat = false;
     }
     oss << (firstStat ? "}\n" : "\n  }\n") << "}\n";

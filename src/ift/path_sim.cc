@@ -26,9 +26,7 @@ PathSim::PathSim(const Soc &s, const Policy &p, const EngineConfig &c,
 void
 PathSim::loadProgram()
 {
-    soc.loadProgram(sim.state(), image);
-    // The image went into the program memory cells directly.
-    sim.markAllDirty();
+    sim.setMemCells(soc.probes().progMem, soc.programCells(image), 0);
     if (policy.taintCodeInProgMem) {
         for (const CodePartition &p : policy.code) {
             if (!p.tainted)
@@ -210,9 +208,6 @@ PathSim::starSaturate(BitPlane *everTainted)
 {
     ++engineStats().starSaturations;
     GLIFS_TRACE_INSTANT("engine", "star_saturate");
-    // Every flop and memory cell changes below: invalidate the dirty
-    // set up front so the settle runs every unit.
-    sim.markAllDirty();
     const Netlist &nl = soc.netlist();
     for (GateId g : nl.dffs())
         sim.setNet(nl.gate(g).out, Signal{Tern::X, true});

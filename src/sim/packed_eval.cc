@@ -1,6 +1,5 @@
 #include "sim/packed_eval.hh"
 
-#include <algorithm>
 #include <bit>
 
 namespace glifs
@@ -13,43 +12,24 @@ PackedEval::PackedEval(const Netlist &nl,
     : cn(compileNetlist(nl, order)),
       numUnits(static_cast<uint32_t>(cn.units.size()))
 {
-    // Every comb net reads X until its first settle, as in a fresh
-    // SignalState.
     vlo.assign(cn.planeWords, ~0ULL);
     vhi.assign(cn.planeWords, ~0ULL);
     vtnt.assign(cn.planeWords, 0);
     unitDirty.assign((cn.units.size() + 63) / 64, 0);
     dffDirty.assign((cn.dffWords.size() + 63) / 64, 0);
     dffNextQ.resize(cn.dffWords.size());
-}
-
-void
-PackedEval::importSources(const SignalState &sigs)
-{
-    for (size_t w = 0; w < cn.sourceWords; ++w) {
-        uint64_t lo = 0;
-        uint64_t hi = 0;
-        uint64_t tnt = 0;
-        for (unsigned lane = 0; lane < 64; ++lane) {
-            const NetId n = cn.slotNet[(w << 6) + lane];
-            if (n == kNoNet)
-                continue;
-            const Signal s = sigs.net(n);
-            const uint64_t bit = 1ULL << lane;
-            lo |= s.value != Tern::One ? bit : 0;
-            hi |= s.value != Tern::Zero ? bit : 0;
-            tnt |= s.taint ? bit : 0;
-        }
-        vlo[w] = lo;
-        vhi[w] = hi;
-        vtnt[w] = tnt;
+    for (uint32_t t = 0; t < numUnits + cn.dffWords.size(); ++t)
+        markTarget(t);
+    for (const Gate &g : nl.gates()) {
+        if (g.type == GateType::Const)
+            setNetPlanes(g.out, sigBool(g.constVal));
     }
 }
 
 void
-PackedEval::exportComb(SignalState &sigs) const
+PackedEval::exportNets(SignalState &sigs) const
 {
-    for (size_t w = cn.sourceWords; w < cn.planeWords; ++w) {
+    for (size_t w = 0; w < cn.planeWords; ++w) {
         const Planes p{vlo[w], vhi[w], vtnt[w]};
         for (unsigned lane = 0; lane < 64; ++lane) {
             const NetId n = cn.slotNet[(w << 6) + lane];
@@ -64,12 +44,6 @@ PackedEval::orTaint(std::vector<uint64_t> &acc) const
 {
     for (size_t w = 0; w < vtnt.size(); ++w)
         acc[w] |= vtnt[w];
-}
-
-void
-PackedEval::clearUnitDirty()
-{
-    std::fill(unitDirty.begin(), unitDirty.end(), 0);
 }
 
 Planes
@@ -141,17 +115,11 @@ PackedEval::computeDffWord(uint32_t i)
 }
 
 size_t
-PackedEval::commitDffWord(uint32_t i, SignalState &sigs)
+PackedEval::commitDffWord(uint32_t i)
 {
     const DffWord &dw = cn.dffWords[i];
-    const StoreDiff d = storeWord(dw.qWord, dw.laneMask, dffNextQ[i]);
-    const uint32_t base = dw.qWord << 6;
-    for (uint64_t lanes = d.changed; lanes; lanes &= lanes - 1) {
-        const NetId n =
-            cn.slotNet[base + static_cast<uint32_t>(std::countr_zero(lanes))];
-        sigs.setNet(n, signalAt(n));
-    }
-    return std::popcount(d.toggled);
+    return std::popcount(
+        storeWord(dw.qWord, dw.laneMask, dffNextQ[i]).toggled);
 }
 
 } // namespace glifs

@@ -5,19 +5,17 @@
  * Holds the plane arrays (lo / hi / tnt over the compiler's permuted
  * slot space -- see netlist/compile.hh), the unit- and dff-word dirty
  * bitsets and the staged flip-flop next states, and executes the
- * CompiledNetlist. The Simulator drives it: it decides which units
- * run (event-driven drain or full pass) and interprets the memory
- * read/write ports.
+ * CompiledNetlist. The Simulator drives it: it drains the dirty units
+ * and interprets the memory read/write ports.
  *
- * The planes hold every net. Comb nets (unit outputs, the words from
- * sourceWords up) live only here; the Simulator's SignalState keeps
- * the source nets and memories. Coherence contract: from the
- * importSources() of a settle or edge until the next markAllDirty(),
- * every source slot equals the SignalState's net. Every word store
- * (a unit's output, a committed Q word) and every setNetPlanes() of
- * the Simulator marks the readers of the lanes it changed through the
+ * The planes are the one store of every net: flip-flop Q, inputs and
+ * constants (the words below sourceWords) as well as the unit outputs.
+ * Every word store (a unit's output, a committed Q word) and every
+ * setNetPlanes() marks the readers of the lanes it changed through the
  * reader index, so a unit none of whose input lanes changed since it
- * last ran still holds its exact output.
+ * last ran still holds its exact output. A fresh program starts with
+ * every unit and every dff word marked, so nothing is stale from the
+ * start.
  */
 
 #ifndef GLIFS_SIM_PACKED_EVAL_HH
@@ -37,25 +35,17 @@ namespace glifs
 class PackedEval
 {
   public:
+    /**
+     * Every net reads untainted X but the constants, which hold their
+     * value; every unit and every dff word is marked, so the first
+     * settle runs every unit and the first edge latches every word.
+     */
     PackedEval(const Netlist &nl, const std::vector<EvalStep> &order);
 
     const CompiledNetlist &program() const { return cn; }
 
-    /**
-     * Rebuild the source words from @p sigs. The comb words keep the
-     * last values stored into them.
-     */
-    void importSources(const SignalState &sigs);
-
-    /** Write every comb net's slot into @p sigs. */
-    void exportComb(SignalState &sigs) const;
-
-    /** True for source nets (flip-flop Q, inputs, constants). */
-    bool
-    isSource(NetId net) const
-    {
-        return (cn.slotOfNet[net] >> 6) < cn.sourceWords;
-    }
+    /** Write every net's slot into @p sigs. */
+    void exportNets(SignalState &sigs) const;
 
     /** Overwrite one net's slot and mark the readers of its lane. */
     void
@@ -115,16 +105,6 @@ class PackedEval
 
     void markMemUnitDirty(MemId m) { markTarget(cn.unitOfMem[m]); }
 
-    void clearUnitDirty();
-
-    /** Arm every dff word for the next edge (untracked full settle). */
-    void
-    markAllDffDirty()
-    {
-        for (uint32_t i = 0; i < cn.dffWords.size(); ++i)
-            markTarget(numUnits + i);
-    }
-
     std::vector<uint64_t> &unitDirtyWords() { return unitDirty; }
     std::vector<uint64_t> &dffDirtyWords() { return dffDirty; }
 
@@ -147,11 +127,10 @@ class PackedEval
     void computeDffWord(uint32_t i);
 
     /**
-     * Write dff word @p i's staged next state into its Q word and
-     * each changed Q net into @p sigs; returns the number of value
-     * toggles.
+     * Write dff word @p i's staged next state into its Q word; returns
+     * the number of value toggles.
      */
-    size_t commitDffWord(uint32_t i, SignalState &sigs);
+    size_t commitDffWord(uint32_t i);
 
   private:
     CompiledNetlist cn;

@@ -5,10 +5,9 @@
  * known/value/taint planes SymState uses, with cell = word * width +
  * bit -- so memory ports and state snapshots move whole words.
  *
- * ReferenceSim keeps every net here. The Simulator keeps only the
- * architectural state here -- flip-flops, inputs, constants and
- * memories, what a SymState captures -- and the comb nets in its
- * packed planes; Simulator::state() decodes them in on access.
+ * ReferenceSim keeps every net here. The Simulator keeps only its
+ * memory cells here and every net in its packed planes;
+ * Simulator::state() decodes the nets into its copy on access.
  */
 
 #ifndef GLIFS_SIM_SIGNAL_STATE_HH

@@ -75,49 +75,28 @@ Simulator::Simulator(Simulator &&) noexcept = default;
 Simulator::~Simulator() = default;
 
 void
-Simulator::syncCombNets() const
-{
-    if (combSynced)
-        return;
-    packed->exportComb(sigs);
-    combSynced = true;
-}
-
-void
 Simulator::changeNet(NetId net, const Signal &s)
 {
-    PackedEval &pe = *packed;
-    if (pe.isSource(net)) {
-        sigs.setNet(net, s);
-        if (allDirty)
-            return;  // the next settle or edge re-imports every source
-        pe.setNetPlanes(net, s);
-        return;
-    }
-    // A comb net lives only in the planes, also across markAllDirty().
-    // It must be recomputed from its driver at the next settle, so the
-    // override behaves exactly like under a full sweep (visible to the
-    // clock edge, gone after the next evalComb()).
-    if (pe.signalAt(net) == s)
-        return;
-    pe.setNetPlanes(net, s);
-    pe.markProducerDirty(net);
-    combSynced = false;
+    packed->setNetPlanes(net, s);
+    // A driven net is recomputed from its driver at the next settle, so
+    // the override behaves exactly like under a full sweep (visible to
+    // the clock edge, gone after the next evalComb()).
+    packed->markProducerDirty(net);
+    netsDecoded = false;
 }
 
 void
 Simulator::setMemWord(MemId mem, size_t word, uint64_t value, bool taint)
 {
     sigs.setMemWord(nl, mem, word, value, taint);
-    if (!allDirty)
-        packed->markMemUnitDirty(mem);
+    packed->markMemUnitDirty(mem);
 }
 
 void
 Simulator::setMemCells(MemId mem, const TernPlanes &src, size_t src_first)
 {
     TernPlanes &cells = sigs.memCells(mem);
-    if (cells.copyRange(0, src, src_first, cells.size()) && !allDirty)
+    if (cells.copyRange(0, src, src_first, cells.size()))
         packed->markMemUnitDirty(mem);
 }
 
@@ -204,32 +183,18 @@ Simulator::evalComb()
     PackedEval &pe = *packed;
     size_t evaluated = 0;  // gate lanes + mem read ports actually run
     size_t wordEvals = 0;
-    combSynced = false;
-    if (allDirty) {
-        pe.importSources(sigs);
-        const size_t numUnits = pe.program().units.size();
-        for (uint32_t u = 0; u < numUnits; ++u)
-            runUnit(u, evaluated, wordEvals);
-        // Every unit ran, so drop the marks the pass left behind. The
-        // source words changed without marks, so the next edge must
-        // consider every flip-flop.
-        pe.clearUnitDirty();
-        pe.markAllDffDirty();
-        allDirty = false;
-    } else {
-        // Drain dirty units in ascending index order. Compilation
-        // guarantees every consumer unit has a strictly higher index
-        // than its producer, so marks land only ahead of the cursor
-        // and each unit runs at most once per settle.
-        std::vector<uint64_t> &ud = pe.unitDirtyWords();
-        for (size_t w = 0; w < ud.size(); ++w) {
-            while (uint64_t bits = ud[w]) {
-                const unsigned b =
-                    static_cast<unsigned>(std::countr_zero(bits));
-                ud[w] &= ~(1ULL << b);
-                runUnit(static_cast<uint32_t>((w << 6) + b), evaluated,
-                        wordEvals);
-            }
+    netsDecoded = false;
+    // Drain dirty units in ascending index order. Compilation
+    // guarantees every consumer unit has a strictly higher index than
+    // its producer, so marks land only ahead of the cursor and each
+    // unit runs at most once per settle.
+    std::vector<uint64_t> &ud = pe.unitDirtyWords();
+    for (size_t w = 0; w < ud.size(); ++w) {
+        while (uint64_t bits = ud[w]) {
+            const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+            ud[w] &= ~(1ULL << b);
+            runUnit(static_cast<uint32_t>((w << 6) + b), evaluated,
+                    wordEvals);
         }
     }
     st.gateEvals += evaluated;
@@ -247,33 +212,19 @@ void
 Simulator::clockEdge()
 {
     PackedEval &pe = *packed;
-    // An edge may follow markAllDirty() without a settle: latch every
-    // flip-flop from freshly imported sources and the last settled
-    // comb values, and leave the dirty set invalid for the next settle.
-    const bool track = !allDirty;
-    if (!track)
-        pe.importSources(sigs);
-
     // Select the flip-flop words to latch. A word none of whose
     // D/RST/EN/Q lanes changed since its last computation latches its
     // own held value again -- skipping it is exact, not approximate.
     dffRunScratch.clear();
     std::vector<uint64_t> &dd = pe.dffDirtyWords();
-    if (track) {
-        for (size_t w = 0; w < dd.size(); ++w) {
-            uint64_t bits = dd[w];
-            dd[w] = 0;
-            while (bits) {
-                dffRunScratch.push_back(static_cast<uint32_t>(
-                    (w << 6) +
-                    static_cast<unsigned>(std::countr_zero(bits))));
-                bits &= bits - 1;
-            }
+    for (size_t w = 0; w < dd.size(); ++w) {
+        uint64_t bits = dd[w];
+        dd[w] = 0;
+        while (bits) {
+            dffRunScratch.push_back(static_cast<uint32_t>(
+                (w << 6) + static_cast<unsigned>(std::countr_zero(bits))));
+            bits &= bits - 1;
         }
-    } else {
-        std::fill(dd.begin(), dd.end(), 0);
-        for (uint32_t i = 0; i < pe.program().dffWords.size(); ++i)
-            dffRunScratch.push_back(i);
     }
 
     // Stage everything -- flip-flop next states and memory write-port
@@ -282,15 +233,15 @@ Simulator::clockEdge()
         pe.computeDffWord(i);
     stageMemWrites();
 
-    // Each commit writes its changed Q nets into sigs and marks their
-    // readers: the units of the next settle, and (through the Q
-    // entries of the reader index) the dff words that must latch
-    // again at the next edge.
+    // Each commit marks the readers of its changed Q nets: the units
+    // of the next settle, and (through the Q entries of the reader
+    // index) the dff words that must latch again at the next edge.
     size_t tog = 0;
     for (uint32_t i : dffRunScratch)
-        tog += pe.commitDffWord(i, sigs);
+        tog += pe.commitDffWord(i);
     if (togglesOn)
         toggles.dffToggles += tog;
+    netsDecoded = false;
 
     SimStats &st = simStats();
     ++st.clockEdges;
@@ -304,8 +255,7 @@ Simulator::clockEdge()
         if (togglesOn)
             ++toggles.memWrites;
         // Cells may have changed: the read port must re-evaluate.
-        if (track)
-            pe.markMemUnitDirty(m);
+        pe.markMemUnitDirty(m);
     }
 
     ++cycleCount;

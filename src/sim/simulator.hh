@@ -18,6 +18,12 @@
  * bit-identical, values and taints, to sweeping the whole levelized
  * schedule, which ReferenceSim (sim/reference_sim.hh) does as the
  * differential-test reference.
+ *
+ * Every net lives in one place, the packed planes; the memory cells
+ * live in TernPlanes. Every write goes through a tracked setter
+ * (setNet(), setMemWord(), setMemCells()) or the settle and edge
+ * themselves, so the dirty sets are never stale and nothing is ever
+ * re-imported.
  */
 
 #ifndef GLIFS_SIM_SIMULATOR_HH
@@ -49,23 +55,18 @@ class Simulator
     const Netlist &netlist() const { return nl; }
 
     /**
-     * The whole simulation state, every net included. The comb nets
-     * live only in the planes; the first access after they changed
-     * decodes them into the returned SignalState, so this is for
-     * tests, tools and bulk writers. The analysis reads through
-     * netValue() and memCells(), which decode nothing.
+     * The whole simulation state, every net included, decoded from the
+     * planes on the first access after a change; for tests and tools.
+     * The analysis reads through netValue() and memCells(), which
+     * decode nothing. Writes go through the tracked setters below.
      */
-    SignalState &
-    state()
-    {
-        syncCombNets();
-        return sigs;
-    }
-
     const SignalState &
     state() const
     {
-        syncCombNets();
+        if (!netsDecoded) {
+            packed->exportNets(sigs);
+            netsDecoded = true;
+        }
         return sigs;
     }
 
@@ -83,16 +84,14 @@ class Simulator
     void
     setNet(NetId net, const Signal &s)
     {
-        if (packed->isSource(net) && sigs.net(net) == s)
+        if (packed->signalAt(net) == s)
             return;  // the common case: an input driven again
         changeNet(net, s);
     }
 
     /**
-     * Store a concrete word into a memory block, keeping the read
-     * port's dirty tracking consistent. External writers must use this
-     * or setMemCells() (or markAllDirty()) instead of mutating
-     * state().memCells() behind the scheduler's back.
+     * Store a concrete word into a memory block and mark its read
+     * port dirty.
      */
     void setMemWord(MemId mem, size_t word, uint64_t value,
                     bool taint = false);
@@ -110,31 +109,8 @@ class Simulator
         return sigs.memCells(mem);
     }
 
-    /**
-     * Invalidate the dirty set after a bulk mutation of the state that
-     * bypassed the tracked setters (program load, *-logic saturation):
-     * the next evalComb() or clockEdge() re-imports the source nets
-     * from the SignalState, and the next evalComb() runs every unit.
-     * The planes keep the last settled comb values, so an edge right
-     * after the invalidation latches what it would have before it.
-     */
-    void
-    markAllDirty()
-    {
-        allDirty = true;
-        combSynced = false;
-    }
-
-    /**
-     * Current value of any net (after evalComb() for comb nets): a
-     * source net from the SignalState, a comb net from the planes.
-     */
-    Signal
-    netValue(NetId net) const
-    {
-        return packed->isSource(net) ? sigs.net(net)
-                                     : packed->signalAt(net);
-    }
+    /** Current value of any net (after evalComb() for comb nets). */
+    Signal netValue(NetId net) const { return packed->signalAt(net); }
 
     /** Words of the plane slot space (see orTaint()). */
     size_t planeWords() const { return packed->program().planeWords; }
@@ -151,8 +127,7 @@ class Simulator
 
     /**
      * Settle all combinational logic and memory read ports for the
-     * current cycle: only the dirty units, or every unit after
-     * markAllDirty().
+     * current cycle, running only the dirty units.
      */
     void evalComb();
 
@@ -185,24 +160,18 @@ class Simulator
     const Netlist &nl;
     size_t scheduleSize = 0;  ///< gates + read ports a sweep evaluates
     /**
-     * The architectural state: flip-flops, inputs, constants and
-     * memories. Comb-net entries are written only by syncCombNets().
+     * The memory cells, and a decode cache of every net that only
+     * state() writes.
      */
     mutable SignalState sigs;
-    /** sigs' comb-net entries equal the planes. */
-    mutable bool combSynced = false;
+    /** sigs' nets equal the planes. */
+    mutable bool netsDecoded = false;
     uint64_t cycleCount = 0;
     bool togglesOn = false;
     ToggleStats toggles;
 
-    /** Compiled program, planes and unit/dff-word dirty sets. */
+    /** Compiled program, the planes of every net, unit/dff dirty sets. */
     std::unique_ptr<PackedEval> packed;
-    /**
-     * The source words of the planes and the dirty sets do not reflect
-     * sigs: the next settle or edge re-imports the source nets, and the
-     * next settle runs every unit (markAllDirty()).
-     */
-    bool allDirty = true;
 
     // --- reusable scratch buffers (no per-call heap allocation) ------
     std::vector<Signal> addrScratch;
@@ -218,8 +187,6 @@ class Simulator
     std::vector<MemId> activeWrites;         ///< memories written this edge
     std::vector<uint32_t> dffRunScratch;     ///< dff words latching this edge
 
-    /** Decode the comb nets into sigs, if they changed since. */
-    void syncCombNets() const;
     /** setNet() past its no-op check. */
     void changeNet(NetId net, const Signal &s);
     /** Run one compiled unit. */

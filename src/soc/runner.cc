@@ -12,10 +12,10 @@ SocRunner::SocRunner(const Soc &soc) : socRef(soc), sim(soc.netlist())
 void
 SocRunner::load(const ProgramImage &image)
 {
-    socRef.loadProgram(sim.state(), image);
-    // loadProgram writes memory cells directly; resync the simulator's
-    // dirty tracking (covers reloading after cycles have run).
-    sim.markAllDirty();
+    // A tracked write: a reload after cycles have run marks the read
+    // port, so the next settle fetches from the new image.
+    sim.setMemCells(socRef.probes().progMem, socRef.programCells(image),
+                    0);
 }
 
 void

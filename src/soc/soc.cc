@@ -73,18 +73,25 @@ Soc::Soc(const SocConfig &config) : cfg(config)
 
 Soc::~Soc() = default;
 
-void
-Soc::loadProgram(SignalState &state, const ProgramImage &image,
-                 bool taint_code, uint16_t taint_lo,
-                 uint16_t taint_hi) const
+TernPlanes
+Soc::programCells(const ProgramImage &image) const
 {
     GLIFS_ASSERT(image.words.size() <= cfg.progWords,
                  "program image larger than program memory");
+    const unsigned width = nl.memory(prb.progMem).width;
+    const uint64_t all = lowMask(width);
+    TernPlanes cells(cfg.progWords * width);
     for (size_t w = 0; w < cfg.progWords; ++w) {
-        uint16_t val = w < image.words.size() ? image.words[w] : 0;
-        bool taint = taint_code && w >= taint_lo && w <= taint_hi;
-        state.setMemWord(nl, prb.progMem, w, val, taint);
+        const uint64_t val = w < image.words.size() ? image.words[w] : 0;
+        cells.setWord(w * width, width, {all, val & all, 0});
     }
+    return cells;
+}
+
+void
+Soc::loadProgram(SignalState &state, const ProgramImage &image) const
+{
+    state.memCells(prb.progMem) = programCells(image);
 }
 
 namespace

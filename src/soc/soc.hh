@@ -107,14 +107,14 @@ class Soc
     const SocConfig &config() const { return cfg; }
 
     /**
-     * Load a program image into program-memory cells of a simulation
-     * state. Optionally taint the instructions inside [taint_lo,
-     * taint_hi] (paper footnote 3 allows marking code partitions
-     * tainted in program memory).
+     * The program memory's cells holding @p image: every word known
+     * and untainted, zero past the image. A Simulator takes them
+     * through Simulator::setMemCells().
      */
-    void loadProgram(SignalState &state, const ProgramImage &image,
-                     bool taint_code = false, uint16_t taint_lo = 0,
-                     uint16_t taint_hi = 0) const;
+    TernPlanes programCells(const ProgramImage &image) const;
+
+    /** Load @p image into the program memory of a SignalState. */
+    void loadProgram(SignalState &state, const ProgramImage &image) const;
 
     /** Concrete helper: read a register value from a state (0 = r0). */
     uint16_t regValue(const SignalState &state, unsigned reg) const;

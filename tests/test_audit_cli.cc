@@ -10,7 +10,8 @@
  * carries every POR fork on the absolute clock. A budget only stops
  * the audit: resuming its checkpoint gives the flagless audit, and so
  * does a snapshot the engine refuses (another program's, or one whose
- * state does not fit), after a warning.
+ * state does not fit), after a warning. `--fix` analyzes each image
+ * it writes once.
  */
 
 #include <gtest/gtest.h>
@@ -399,6 +400,38 @@ TEST(AuditBudget, StoppedRunResumesToTheFlaglessRun)
 
     expectSameVerdict(flagless,
                       runAudit(dir, target, "--resume " + ckpt));
+    std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------------------------
+// --fix: the software fixes and their re-verification.
+// ------------------------------------------------------------------
+
+/** tHold in a harness that holds the watchdog (WDT_CMD is the hold
+ *  command) and idles after the task: --fix arms the watchdog, masks
+ *  the stores left, and verifies the result, analyzing each of its
+ *  three images (as written, armed, masked) once. */
+TEST(AuditFix, SecuresHeldWatchdogTHoldAnalyzingEachImageOnce)
+{
+    const std::string dir = tempDir("fix");
+    std::string src =
+        workloadByName("tHold").source(HarnessOptions{true, 1});
+    const std::string equ = ".equ WDT_CMD, ";
+    const size_t at = src.find(equ);
+    ASSERT_NE(at, std::string::npos);
+    const size_t value = at + equ.size();
+    src.replace(value, src.find('\n', value) - value, "0x0080");
+    const std::string fw = dir + "/thold_held.s";
+    std::ofstream(fw) << src;
+
+    const AuditRun fixed = runAudit(dir, fw, "--fix");
+    EXPECT_EQ(fixed.exitCode, 0) << fixed.out << fixed.err;
+    EXPECT_NE(fixed.out.find("verdict: SECURE after software fixes"),
+              std::string::npos)
+        << fixed.out;
+    EXPECT_TRUE(std::filesystem::exists(fw + ".secured.s"));
+    EXPECT_EQ(jsonCounter(jsonObject(fixed.report, "engine"), "runs"),
+              3u);
     std::filesystem::remove_all(dir);
 }
 

@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "batch/journal.hh"
+
 #ifndef GLIFS_AUDIT_BIN
 #define GLIFS_AUDIT_BIN "glifs_audit"
 #endif
@@ -275,6 +277,41 @@ TEST_F(FaultInjectTest, TransientForkFailuresAreRetried)
         runBatchCmd(dir, mf, "fork:1:EAGAIN,fork:2:EAGAIN", "");
     EXPECT_EQ(r.exitCode, 1) << readFile(dir + "/stderr.log");
     EXPECT_EQ(normalizeReport(r.report), ref);
+}
+
+/** A worker never inherits the journal. Without a telemetry pipe the
+ *  worker's --telemetry-fd names a descriptor of nothing, which must
+ *  not be the journal's: the journal equals the fault-free one in size
+ *  and records, and the verdict is unchanged. */
+TEST_F(FaultInjectTest, WorkerWithoutPipeLeavesTheJournalAlone)
+{
+    struct Run
+    {
+        RunResult result;
+        uintmax_t journalBytes = 0;
+        batch::BatchJournal::Replay replay;
+    };
+    auto run = [](const std::string &name, const std::string &plan) {
+        std::string dir = tempDir(name);
+        std::string mf = dir + "/one.manifest";
+        std::ofstream(mf) << "batch one job\njob thold\n"
+                             "    workload tHold\n";
+        Run r;
+        r.result = runBatchCmd(dir, mf, plan, "");
+        const std::string journal = dir + "/work/batch.journal";
+        r.journalBytes = std::filesystem::file_size(journal);
+        r.replay = batch::BatchJournal::replay(journal);
+        return r;
+    };
+    const Run clean = run("journal_clean", "");
+    const Run nopipe = run("journal_nopipe", "pipe:1:EMFILE");
+    EXPECT_EQ(clean.result.exitCode, 1);
+    EXPECT_EQ(nopipe.result.exitCode, 1);
+    EXPECT_EQ(normalizeReport(nopipe.result.report),
+              normalizeReport(clean.result.report));
+    EXPECT_EQ(nopipe.journalBytes, clean.journalBytes);
+    EXPECT_EQ(nopipe.replay.records, clean.replay.records);
+    EXPECT_FALSE(nopipe.replay.torn);
 }
 
 } // namespace

@@ -11,6 +11,8 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <set>
+#include <string>
 
 #include "assembler/assembler.hh"
 #include "base/stats.hh"
@@ -424,6 +426,29 @@ TEST_F(IftTest, StateCapturesOnlyAtVisitsAndPorForks)
         EXPECT_LT(delta("engine.state_captures"),
                   delta("engine.cycles"));
     }
+}
+
+/** Paper footnote 3: a tainted code partition may be marked tainted in
+ *  program memory, so every word fetched from it is tainted. On mult
+ *  that taints the task's control flow, its stores and its watchdog
+ *  access, where the plain audit finds the kernel secure. */
+TEST_F(IftTest, TaintedCodeInProgramMemoryTaintsTheTask)
+{
+    const Workload &w = workloadByName("mult");
+    Policy policy = w.policy();
+    policy.taintCodeInProgMem = true;
+    const EngineResult r = IftEngine(*soc, policy).run(w.image());
+    EXPECT_EQ(r.verdict(), Verdict::Violations);
+    EXPECT_EQ(r.cyclesSimulated, 438u);
+    EXPECT_EQ(r.pathsExplored, 17u);
+    std::set<std::string> kinds;
+    for (const Violation &v : r.violations)
+        kinds.insert(violationKindName(v.kind));
+    EXPECT_EQ(kinds, (std::set<std::string>{
+                         "C1-tainted-control-flow",
+                         "C1-untainted-code-tainted-pc",
+                         "C2-store-untainted-partition",
+                         "watchdog-tainted"}));
 }
 
 TEST_F(IftTest, TracedRunEmitsEngineSpans)

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
 #include <vector>
 
@@ -233,39 +234,44 @@ TEST(CompiledNetlist, SocProgramInvariantsHold)
     EXPECT_EQ(dffLanes, nl.dffs().size());
 }
 
-TEST(PackedEvalState, ImportRoundTripsEverySignal)
+TEST(PackedEvalState, PlanesRoundTripEverySignal)
 {
     Soc soc;
     const Netlist &nl = soc.netlist();
-    const std::vector<EvalStep> order = levelize(nl);
-    PackedEval pe(nl, order);
+    PackedEval pe(nl, levelize(nl));
+    const CompiledNetlist &cn = pe.program();
 
-    // Point writes land in the planes; importSources then replaces
-    // every source net from the SignalState and leaves the comb nets,
-    // which live only in the planes, as they were.
-    SignalState sigs(nl);
-    SignalState comb(nl);
+    // A fresh program holds what a fresh SignalState does: every
+    // constant net at its value, every other net untainted X. Every
+    // unit and every dff word is marked, so the first settle runs every
+    // unit and the first edge latches every word.
+    const SignalState fresh(nl);
+    for (NetId n = 0; n < nl.numNets(); ++n)
+        ASSERT_EQ(pe.signalAt(n), fresh.net(n)) << "net " << n;
+    size_t units = 0;
+    for (uint64_t w : pe.unitDirtyWords())
+        units += std::popcount(w);
+    size_t dffWords = 0;
+    for (uint64_t w : pe.dffDirtyWords())
+        dffWords += std::popcount(w);
+    EXPECT_EQ(units, cn.units.size());
+    EXPECT_EQ(dffWords, cn.dffWords.size());
+
+    // Point writes land in the planes, and exportNets decodes every
+    // net back.
+    SignalState want(nl);
     std::mt19937 rng(99);
     const Tern v[] = {Tern::Zero, Tern::One, Tern::X};
     for (NetId n = 0; n < nl.numNets(); ++n) {
-        sigs.setNet(n, Signal{v[rng() % 3], (rng() & 4) != 0});
         const Signal s{v[rng() % 3], (rng() & 4) != 0};
-        comb.setNet(n, s);
+        want.setNet(n, s);
         pe.setNetPlanes(n, s);
         ASSERT_EQ(pe.signalAt(n), s);
     }
-    pe.importSources(sigs);
-    for (NetId n = 0; n < nl.numNets(); ++n) {
-        ASSERT_EQ(pe.signalAt(n),
-                  pe.isSource(n) ? sigs.net(n) : comb.net(n))
-            << "net " << n;
-    }
-
-    // exportComb writes back exactly the comb nets.
-    SignalState out = sigs;
-    pe.exportComb(out);
+    SignalState out(nl);
+    pe.exportNets(out);
     for (NetId n = 0; n < nl.numNets(); ++n)
-        ASSERT_EQ(out.net(n), pe.signalAt(n)) << "net " << n;
+        ASSERT_EQ(out.net(n), want.net(n)) << "net " << n;
 }
 
 } // namespace

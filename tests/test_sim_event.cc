@@ -8,14 +8,15 @@
  * taints, every net and every memory cell, every cycle -- and so must
  * the toggle counts the energy model reads. This file proves it on
  * randomized netlists driven with randomized ternary/tainted stimulus
- * (including mid-cycle net overrides, external memory stores and
- * dirty-set invalidation), on the IoT430 SoC run concretely to HALT and
- * stepped symbolically in lockstep, and across PathSim::restore, the
- * tracked state write every segment of the analysis starts with.
- * Comb nets live only in the simulator's planes, so the comparisons
- * read them through netValue(), and separately check that state()
- * decodes the same values. It also pins the compiled reader index to
- * the netlists and a segment's taint summary to a per-net scan.
+ * (including mid-cycle net overrides and external memory stores), on
+ * the IoT430 SoC run concretely to HALT, reloaded with another program
+ * mid-run and stepped symbolically in lockstep, and across
+ * PathSim::restore, the tracked state write every segment of the
+ * analysis starts with. Nets live only in the simulator's planes, so
+ * the comparisons read them through netValue(), and separately check
+ * that state() decodes the same values. It also pins the compiled
+ * reader index to the netlists and a segment's taint summary to a
+ * per-net scan.
  */
 
 #include <gtest/gtest.h>
@@ -278,8 +279,6 @@ runDifferential(uint32_t seed, int cycles)
             sim.setMemWord(d.ram, w, v, taint);
             ref.setMemWord(d.ram, w, v, taint);
         }
-        if (rng() % 11 == 0)
-            sim.markAllDirty();  // invalidation must stay sound
 
         sim.evalComb();
         ref.evalComb();
@@ -290,8 +289,6 @@ runDifferential(uint32_t seed, int cycles)
         ASSERT_TRUE(togglesEqual(sim.toggleStats(), ref.toggleStats()))
             << "after evalComb, cycle " << c << ", seed " << seed;
 
-        if (rng() % 13 == 0)
-            sim.markAllDirty();  // an edge straight after invalidation
         if (rng() % 5 == 0) {
             // Post-settle override of an arbitrary net, the por-fork
             // pattern: visible to the edge, recomputed next settle.
@@ -390,15 +387,16 @@ class SimEventSoc : public ::testing::Test
 
 Soc *SimEventSoc::soc = nullptr;
 
-/** SocRunner's concrete drive (reset, ports at 0) on the reference. */
+/** SocRunner's concrete drive (reset, ports at 0) on either simulator. */
+template <typename Sim>
 void
-driveConcrete(const Soc &soc, ReferenceSim &ref, bool reset)
+driveConcrete(const Soc &soc, Sim &sim, bool reset)
 {
     const SocProbes &prb = soc.probes();
-    ref.setInput(prb.extReset, sigBool(reset));
+    sim.setInput(prb.extReset, sigBool(reset));
     for (unsigned p = 0; p < 4; ++p) {
         for (unsigned b = 0; b < 16; ++b)
-            ref.setInput(prb.portIn[p][b], sigZero());
+            sim.setInput(prb.portIn[p][b], sigZero());
     }
 }
 
@@ -435,13 +433,86 @@ TEST_F(SimEventSoc, ConcreteRunMatchesFullSweep)
                              ref.toggleStats()));
 }
 
+TEST_F(SimEventSoc, ProgramReloadMatchesReference)
+{
+    // SocRunner::load over a running program: the new image must reach
+    // the program memory's read port, whose address (the PC) has not
+    // moved, in the settle of the reset that follows. Every settle and
+    // edge is held to a full sweep of the same loads, resets and drive.
+    const Netlist &nl = soc->netlist();
+    const MemId ram = soc->probes().dataMem;
+    SocRunner runner(*soc);
+    Simulator &sim = runner.simulator();
+    ReferenceSim ref(nl);
+    sim.enableToggleStats(true);
+    ref.enableToggleStats(true);
+
+    auto stepBoth = [&](bool reset, const std::string &what) {
+        driveConcrete(*soc, sim, reset);
+        driveConcrete(*soc, ref, reset);
+        sim.evalComb();
+        ref.evalComb();
+        ASSERT_TRUE(statesEqual(sim, ref.state())) << what << ", settle";
+        ASSERT_TRUE(togglesEqual(sim.toggleStats(), ref.toggleStats()))
+            << what << ", settle";
+        sim.clockEdge();
+        ref.clockEdge();
+        ASSERT_TRUE(statesEqual(sim, ref.state())) << what << ", edge";
+        ASSERT_TRUE(togglesEqual(sim.toggleStats(), ref.toggleStats()))
+            << what << ", edge";
+    };
+    // SocRunner::reset on both: one reset cycle, then zeroed RAM.
+    auto loadAndReset = [&](const ProgramImage &image,
+                            const std::string &what) {
+        runner.load(image);
+        soc->loadProgram(ref.state(), image);
+        stepBoth(true, what + " reset");
+        for (size_t w = 0; w < nl.memory(ram).words; ++w) {
+            sim.setMemWord(ram, w, 0);
+            ref.setMemWord(ram, w, 0);
+        }
+    };
+
+    const ProgramImage a = loopImage();
+    loadAndReset(a, "program A");
+    // Run A into its loop and up to an edge that left the PC alone, so
+    // that nothing but the reload itself marks the read port.
+    int c = 0;
+    for (uint16_t pc = runner.pc(); c < 200; ++c) {
+        stepBoth(false, "program A, cycle " + std::to_string(c));
+        ASSERT_FALSE(HasFatalFailure());
+        if (c >= 40 && runner.pc() == pc)
+            break;
+        pc = runner.pc();
+    }
+    ASSERT_LT(c, 200) << "the PC moved at every edge";
+    ASSERT_FALSE(runner.halted());
+
+    const ProgramImage b = assembleSource(
+        "        mov #0x1234, r6\n"
+        "        mov #9, r7\n"
+        "l:      xor r7, r6\n"
+        "        sub #1, r7\n"
+        "        jnz l\n"
+        "        mov r6, &0x0902\n"
+        "        halt\n");
+    ASSERT_NE(b.words.at(runner.pc()), a.words.at(runner.pc()));
+    loadAndReset(b, "program B");
+    ASSERT_FALSE(HasFatalFailure());
+    for (c = 0; c < 2000 && !runner.halted() && !HasFatalFailure(); ++c)
+        stepBoth(false, "program B, cycle " + std::to_string(c));
+    ASSERT_FALSE(HasFatalFailure());
+    ASSERT_TRUE(runner.halted()) << "program B did not halt";
+    EXPECT_EQ(runner.ram(0x0902), soc->ramValue(ref.state(), 0x0902));
+}
+
 TEST_F(SimEventSoc, SymbolicLockstepSymStatesMatch)
 {
     const Netlist &nl = soc->netlist();
     Simulator sim(nl);
     ReferenceSim ref(nl);
-    soc->loadProgram(sim.state(), loopImage());
-    sim.markAllDirty();
+    sim.setMemCells(soc->probes().progMem, soc->programCells(loopImage()),
+                    0);
     soc->loadProgram(ref.state(), loopImage());
 
     const SocProbes &prb = soc->probes();

@@ -727,19 +727,20 @@ numberAfter(const std::string &doc, const std::string &key,
     return std::strtod(doc.c_str() + at + needle.size(), nullptr);
 }
 
-/** `engine.cycles` in a run report's nested stats snapshot. */
+/** Stat `<section>.<key>` in a run report's nested stats snapshot. */
 double
-reportEngineCycles(const std::string &report)
+reportStat(const std::string &report, const std::string &section,
+           const std::string &key)
 {
-    return numberAfter(report, "cycles",
-                       report.find("\"engine\": {",
+    return numberAfter(report, key,
+                       report.find("\"" + section + "\": {",
                                    report.find("\"stats\":")));
 }
 
 /** `--trace-merge` yields one Chrome trace with a pid lane and a
  *  process_name record per job, and the batch report's "worker_stats"
- *  sums the final stats of every worker: both of them, in full, even
- *  when they finish before their first heartbeat. */
+ *  sums the final stats of every worker: both of them, in full and
+ *  exactly, even when they finish before their first heartbeat. */
 TEST(TelemetryEndToEnd, MergedTraceHasPerJobLanesAndWorkerStats)
 {
     const std::string dir = tempDir("tracemerge");
@@ -790,14 +791,23 @@ TEST(TelemetryEndToEnd, MergedTraceHasPerJobLanesAndWorkerStats)
     const size_t workerStats = rep.find("\"worker_stats\"");
     ASSERT_NE(workerStats, std::string::npos);
     EXPECT_EQ(numberAfter(rep, "engine.runs", workerStats), 2);
-    const double multCycles = reportEngineCycles(
-        readFile(dir + "/work/job0_mult.report.json"));
-    const double tholdCycles = reportEngineCycles(
-        readFile(dir + "/work/job1_thold.report.json"));
+    const std::string multReport =
+        readFile(dir + "/work/job0_mult.report.json");
+    const std::string tholdReport =
+        readFile(dir + "/work/job1_thold.report.json");
+    const double multCycles = reportStat(multReport, "engine", "cycles");
+    const double tholdCycles = reportStat(tholdReport, "engine", "cycles");
     EXPECT_GT(multCycles, 0);
     EXPECT_GT(tholdCycles, 0);
     EXPECT_EQ(numberAfter(rep, "engine.cycles", workerStats),
               multCycles + tholdCycles);
+    // Exact, also past six significant digits.
+    const double multEvals = reportStat(multReport, "sim", "gate_evals");
+    const double tholdEvals =
+        reportStat(tholdReport, "sim", "gate_evals");
+    EXPECT_GT(multEvals + tholdEvals, 1e6);
+    EXPECT_EQ(numberAfter(rep, "sim.gate_evals", workerStats),
+              multEvals + tholdEvals);
     std::filesystem::remove_all(dir);
 }
 

@@ -432,29 +432,29 @@ runAudit(const Options &opts)
     }
 
     // Apply fixes: watchdog first (re-analyze before masking, as
-    // Figure 11 requires), then iterate masks.
+    // Figure 11 requires), then iterate masks. `result` always holds
+    // the one analysis of `cur_img`.
     AsmProgram cur = prog;
+    ProgramImage cur_img = img;
     if (!rc.tasksNeedingWatchdog.empty()) {
         WatchdogXformResult wd =
             applyWatchdogProtection(cur, opts.interval);
         for (const std::string &n : wd.notes)
             std::printf("%s\n", n.c_str());
         cur = wd.program;
+        cur_img = assemble(cur);
+        result = engine.run(cur_img);
     }
-    ProgramImage cur_img = assemble(cur);
     for (int round = 0; round < 4; ++round) {
-        EngineResult r = engine.run(cur_img);
-        RootCauseReport rcr = analyzeRootCauses(r, policy, &cur_img);
-        if (rcr.storesToMask.empty()) {
-            result = r;
+        RootCauseReport rcr = analyzeRootCauses(result, policy, &cur_img);
+        if (rcr.storesToMask.empty())
             break;
-        }
         MaskingResult mr = insertMasks(cur, cur_img, rcr.storesToMask);
         for (const std::string &n : mr.notes)
             std::printf("%s\n", n.c_str());
         if (!mr.unmaskable.empty()) {
             std::printf("unfixable stores remain\n");
-            return finish(r, kExitViolations);
+            return finish(result, kExitViolations);
         }
         cur = mr.program;
         cur_img = assemble(cur);
