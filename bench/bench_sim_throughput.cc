@@ -15,7 +15,8 @@
  * evals_per_cycle is the symbolic work an audit actually does. Cycle
  * rows report cycles_per_sec and, from the sim.* stats registry
  * deltas, evals_per_cycle / skipped_per_cycle, which
- * BENCH_sim_throughput.json records side by side.
+ * BENCH_sim_throughput.json records side by side. BM_AuditSetup times
+ * what one audit pays before its first cycle and reports time only.
  */
 
 #include <benchmark/benchmark.h>
@@ -270,6 +271,26 @@ BM_SymStateMerge(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * layout.slots());
 }
 BENCHMARK(BM_SymStateMerge);
+
+void
+BM_AuditSetup(benchmark::State &state)
+{
+    // One firmware's set-up as glifs_audit pays it before its first
+    // simulated cycle: elaborate (and validate) the SoC, take the
+    // default labels, assemble mult, build the PathSim (levelize,
+    // compile, symbolic layout, checker) and load the program. A fresh
+    // Soc per iteration, as every audit process builds one.
+    const std::string source = workloadByName("mult").source();
+    for (auto _ : state) {
+        const Soc soc;
+        const Policy policy = benchmarkPolicy(kTaskBase, kTaskEnd);
+        const ProgramImage img = assemble(parseSource(source));
+        PathSim ps(soc, policy, EngineConfig{}, img);
+        ps.loadProgram();
+        benchmark::DoNotOptimize(ps.sim.planeWords());
+    }
+}
+BENCHMARK(BM_AuditSetup)->Unit(benchmark::kMillisecond);
 
 void
 BM_CheckpointSaveRestore(benchmark::State &state)

@@ -1,6 +1,6 @@
 #include "ift/path_sim.hh"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "base/logging.hh"
 #include "base/trace.hh"
@@ -14,13 +14,15 @@ PathSim::PathSim(const Soc &s, const Policy &p, const EngineConfig &c,
     : soc(s), policy(p), cfg(c), image(img), sim(s.netlist()),
       layout(s.netlist()), checker(s, p)
 {
-    // Slot indices of the PC flip-flops within the layout.
-    const Netlist &nl = s.netlist();
-    std::unordered_map<GateId, size_t> slot_of;
-    for (size_t i = 0; i < nl.dffs().size(); ++i)
-        slot_of[nl.dffs()[i]] = i;
-    for (GateId g : s.probes().pcFlops)
-        pcSlots.push_back(slot_of.at(g));
+    // Slot indices of the PC flip-flops within the layout: a flop's
+    // position in dffs(), whose gate ids ascend.
+    const std::vector<GateId> &dffs = s.netlist().dffs();
+    for (GateId g : s.probes().pcFlops) {
+        const auto it = std::lower_bound(dffs.begin(), dffs.end(), g);
+        GLIFS_ASSERT(it != dffs.end() && *it == g,
+                     "PC flop ", g, " is not a flip-flop");
+        pcSlots.push_back(static_cast<size_t>(it - dffs.begin()));
+    }
 }
 
 void

@@ -13,66 +13,82 @@ namespace
 {
 
 constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
+constexpr uint32_t kNone = static_cast<uint32_t>(-1);
 
 /**
- * Emit the gather program moving the nets at @p slots (one per lane,
- * lane order) into a lane-indexed word. A slot shared by several
- * lanes becomes one broadcast op; the remaining slots become rotate
- * ops, with consecutive lanes reading consecutive bits of one word
- * sharing a single (word, rot) op, so bus-structured operands stay
- * compact.
+ * Emits gather programs: the program moving the nets at given slots
+ * (one per lane, lane order) into a lane-indexed word. A slot shared
+ * by several lanes becomes one broadcast op; the remaining slots
+ * become rotate ops, with consecutive lanes reading consecutive bits
+ * of one word sharing a single (word, rot) op, so bus-structured
+ * operands stay compact. Ops come in the order of their first lane.
+ *
+ * Two tables over the whole slot space (the (word, rot) keys share
+ * its size) find a slot's lane group and a (word, rot)'s op in
+ * constant time; each program resets the entries it set.
  */
-void
-emitGather(std::vector<PlaneOp> &pool, OpRange &range,
-           std::span<const uint32_t> slots)
+class GatherEmitter
 {
-    range.begin = static_cast<uint32_t>(pool.size());
-    // Group lanes by source slot (linear search: <= 64 lanes).
-    struct Src
+  public:
+    GatherEmitter(std::vector<PlaneOp> &pool, size_t slotSpace)
+        : pool(pool), groupOf(slotSpace, kNone), opOf(slotSpace, kNone)
+    {
+    }
+
+    void
+    emit(OpRange &range, std::span<const uint32_t> slots)
+    {
+        range.begin = static_cast<uint32_t>(pool.size());
+        groups.clear();
+        for (size_t lane = 0; lane < slots.size(); ++lane) {
+            uint32_t &g = groupOf[slots[lane]];
+            if (g == kNone) {
+                g = static_cast<uint32_t>(groups.size());
+                groups.push_back({slots[lane], 0});
+            }
+            groups[g].mask |= 1ULL << lane;
+        }
+        for (const Group &s : groups) {
+            groupOf[s.slot] = kNone;
+            const uint32_t word = s.slot >> 6;
+            const unsigned bit = s.slot & 63;
+            if (std::popcount(s.mask) > 1) {
+                pool.push_back(
+                    {word, static_cast<uint8_t>(PlaneOp::kBroadcast | bit),
+                     s.mask});
+                continue;
+            }
+            const unsigned lane =
+                static_cast<unsigned>(std::countr_zero(s.mask));
+            const uint8_t rot = static_cast<uint8_t>((lane - bit) & 63);
+            uint32_t &op = opOf[(word << 6) | rot];
+            if (op != kNone) {
+                pool[op].mask |= s.mask;
+                continue;
+            }
+            op = static_cast<uint32_t>(pool.size());
+            pool.push_back({word, rot, s.mask});
+        }
+        range.end = static_cast<uint32_t>(pool.size());
+        for (const PlaneOp &op : std::span(pool).subspan(range.begin)) {
+            if (!(op.rot & PlaneOp::kBroadcast))
+                opOf[(op.word << 6) | op.rot] = kNone;
+        }
+    }
+
+  private:
+    /** The lanes reading one source slot. */
+    struct Group
     {
         uint32_t slot;
         uint64_t mask;
     };
-    std::vector<Src> srcs;
-    for (size_t lane = 0; lane < slots.size(); ++lane) {
-        bool found = false;
-        for (Src &s : srcs) {
-            if (s.slot == slots[lane]) {
-                s.mask |= 1ULL << lane;
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            srcs.push_back({slots[lane], 1ULL << lane});
-    }
-    std::vector<PlaneOp> local;
-    for (const Src &s : srcs) {
-        const uint32_t word = s.slot >> 6;
-        const unsigned bit = s.slot & 63;
-        if (std::popcount(s.mask) > 1) {
-            local.push_back(
-                {word, static_cast<uint8_t>(PlaneOp::kBroadcast | bit),
-                 s.mask});
-            continue;
-        }
-        const unsigned lane =
-            static_cast<unsigned>(std::countr_zero(s.mask));
-        const uint8_t rot = static_cast<uint8_t>((lane - bit) & 63);
-        bool merged = false;
-        for (PlaneOp &op : local) {
-            if (op.word == word && op.rot == rot) {
-                op.mask |= s.mask;
-                merged = true;
-                break;
-            }
-        }
-        if (!merged)
-            local.push_back({word, rot, s.mask});
-    }
-    pool.insert(pool.end(), local.begin(), local.end());
-    range.end = static_cast<uint32_t>(pool.size());
-}
+
+    std::vector<PlaneOp> &pool;
+    std::vector<Group> groups;
+    std::vector<uint32_t> groupOf;  ///< slot -> index into groups
+    std::vector<uint32_t> opOf;     ///< (word << 6 | rot) -> pool index
+};
 
 } // namespace
 
@@ -132,7 +148,7 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
             ob.unit = static_cast<int32_t>(cn.units.size());
             ob.batch = static_cast<uint32_t>(batchGates.size());
             ob.count = 0;
-            batchGates.emplace_back();
+            batchGates.emplace_back().reserve(64);
             cn.units.push_back({EvalUnit::Kind::Batch, ob.batch});
         }
         batchGates[ob.batch].push_back(gid);
@@ -197,7 +213,12 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
     // already has its slot. Batch lanes are ordered by the slot of
     // their most distinguishing input (the one with the most distinct
     // nets), which lines bus-structured operands up into runs; the
-    // output word simply inherits that order.
+    // output word simply inherits that order. Every unit owns one
+    // word, so the slot space is known before the first gather.
+    GatherEmitter gather(cn.ops, (cn.planeWords + cn.units.size()) * 64);
+    std::vector<uint32_t> seenIn(nl.numNets(), 0);
+    uint32_t seenStamp = 0;
+    std::vector<uint64_t> laneKeys;
     std::vector<uint32_t> slots;
     for (const EvalUnit &u : cn.units) {
         if (u.kind == EvalUnit::Kind::MemRead) {
@@ -223,28 +244,27 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
         unsigned key = 0;
         size_t bestDistinct = 0;
         for (unsigned s = 0; s < pb.arity; ++s) {
-            std::vector<NetId> ins;
-            ins.reserve(gates.size());
-            for (GateId g : gates)
-                ins.push_back(nl.gate(g).in[s]);
-            std::sort(ins.begin(), ins.end());
-            const size_t distinct =
-                std::unique(ins.begin(), ins.end()) - ins.begin();
+            ++seenStamp;
+            size_t distinct = 0;
+            for (GateId g : gates) {
+                uint32_t &seen = seenIn[nl.gate(g).in[s]];
+                distinct += seen != seenStamp;
+                seen = seenStamp;
+            }
             if (distinct > bestDistinct) {
                 bestDistinct = distinct;
                 key = s;
             }
         }
-        std::sort(gates.begin(), gates.end(),
-                  [&](GateId x, GateId y) {
-                      const uint32_t sx =
-                          cn.slotOfNet[nl.gate(x).in[key]];
-                      const uint32_t sy =
-                          cn.slotOfNet[nl.gate(y).in[key]];
-                      if (sx != sy)
-                          return sx < sy;
-                      return nl.gate(x).out < nl.gate(y).out;
-                  });
+        // Sort by (key input slot, output net) as one integer.
+        laneKeys.resize(gates.size());
+        for (size_t l = 0; l < gates.size(); ++l) {
+            const Gate &g = nl.gate(gates[l]);
+            laneKeys[l] = uint64_t{cn.slotOfNet[g.in[key]]} << 32 | g.out;
+        }
+        std::sort(laneKeys.begin(), laneKeys.end());
+        for (size_t l = 0; l < gates.size(); ++l)
+            gates[l] = nl.driverOf(static_cast<NetId>(laneKeys[l]));
 
         pb.outWord = allocWord();
         for (size_t l = 0; l < gates.size(); ++l) {
@@ -255,7 +275,7 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
         for (unsigned s = 0; s < pb.arity; ++s) {
             for (size_t l = 0; l < gates.size(); ++l)
                 slots[l] = cn.slotOfNet[nl.gate(gates[l]).in[s]];
-            emitGather(cn.ops, pb.gather[s], slots);
+            gather.emit(pb.gather[s], slots);
         }
     }
 
@@ -268,7 +288,7 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
             for (size_t l = 0; l < dw.lanes; ++l)
                 slots[l] =
                     cn.slotOfNet[nl.gate(dffs[base + l]).in[in]];
-            emitGather(cn.ops, range, slots);
+            gather.emit(range, slots);
         };
         emitSlot(dw.gatherD, 0);
         emitSlot(dw.gatherRst, 1);
@@ -295,16 +315,22 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
         uint32_t word;
         WordReader reader;
     };
+    /** The last target reading a word, and its entry. */
+    struct LastReader
+    {
+        uint32_t target = kNone;
+        uint32_t entry = 0;
+    };
     std::vector<Entry> entries;
     std::vector<uint32_t> counts(cn.planeWords, 0);
-    size_t targetBegin = 0;
+    std::vector<LastReader> last(cn.planeWords);
     auto add = [&](uint32_t target, uint32_t word, uint64_t lanes) {
-        for (size_t e = targetBegin; e < entries.size(); ++e) {
-            if (entries[e].word == word) {
-                entries[e].reader.lanes |= lanes;
-                return;
-            }
+        LastReader &lr = last[word];
+        if (lr.target == target) {
+            entries[lr.entry].reader.lanes |= lanes;
+            return;
         }
+        lr = {target, static_cast<uint32_t>(entries.size())};
         entries.push_back({word, {target, lanes}});
         ++counts[word];
     };
@@ -317,7 +343,6 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
         }
     };
     for (uint32_t u = 0; u < numUnits; ++u) {
-        targetBegin = entries.size();
         const EvalUnit &unit = cn.units[u];
         if (unit.kind == EvalUnit::Kind::MemRead) {
             for (NetId a : nl.memory(unit.index).readAddr) {
@@ -333,7 +358,6 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
             addOps(u, pb.gather[s]);
     }
     for (uint32_t i = 0; i < cn.dffWords.size(); ++i) {
-        targetBegin = entries.size();
         const DffWord &dw = cn.dffWords[i];
         addOps(numUnits + i, dw.gatherD);
         addOps(numUnits + i, dw.gatherRst);

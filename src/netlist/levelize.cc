@@ -1,113 +1,98 @@
 #include "netlist/levelize.hh"
 
-#include <deque>
-
 #include "base/logging.hh"
 
 namespace glifs
 {
 
-namespace
-{
-
-/** Internal node numbering: [0, nGates) gates, [nGates, +nMems) mems. */
-struct NodeSpace
-{
-    size_t n_gates;
-    size_t n_mems;
-
-    size_t total() const { return n_gates + n_mems; }
-    size_t gateNode(GateId g) const { return g; }
-    size_t memNode(MemId m) const { return n_gates + m; }
-};
-
-} // namespace
-
 std::vector<EvalStep>
 levelize(const Netlist &nl)
 {
-    const NodeSpace ns{nl.numGates(), nl.numMemories()};
-
-    // A node is schedulable when it is a combinational gate or a memory
+    // Nodes: [0, nGates) are gates, [nGates, total) the memories' read
+    // ports. A node is schedulable when it is a combinational gate or a
     // read port; everything else is a source.
-    std::vector<bool> schedulable(ns.total(), false);
-    for (GateId g = 0; g < nl.numGates(); ++g) {
-        if (nl.gate(g).type == GateType::Comb)
-            schedulable[ns.gateNode(g)] = true;
-    }
-    for (MemId m = 0; m < nl.numMemories(); ++m)
-        schedulable[ns.memNode(m)] = true;
+    const uint32_t nGates = static_cast<uint32_t>(nl.numGates());
+    const uint32_t total =
+        nGates + static_cast<uint32_t>(nl.numMemories());
+    constexpr uint32_t kSource = static_cast<uint32_t>(-1);
 
-    // Map each node to the nodes consuming its outputs, via nets.
-    std::vector<std::vector<uint32_t>> consumers(ns.total());
-    std::vector<uint32_t> indegree(ns.total(), 0);
-
-    auto add_dep = [&](NetId input_net, size_t consumer_node) {
-        if (input_net == kNoNet)
-            return;
-        size_t producer;
-        if (nl.memDriven(input_net)) {
-            producer = ns.memNode(nl.memDriver(input_net));
-        } else {
-            GateId d = nl.driverOf(input_net);
-            if (d == static_cast<GateId>(-1))
-                return;  // undriven: environment-set net, a source
-            if (nl.gate(d).type != GateType::Comb)
-                return;  // DFF / const / input output: a source
-            producer = ns.gateNode(d);
+    // The schedulable node driving each net; kSource for nets driven by
+    // a flip-flop, constant or input, and for undriven
+    // (environment-set) nets.
+    std::vector<uint32_t> producer(nl.numNets(), kSource);
+    for (NetId n = 0; n < nl.numNets(); ++n) {
+        if (nl.memDriven(n)) {
+            producer[n] = nGates + nl.memDriver(n);
+        } else if (!nl.undriven(n) &&
+                   nl.gate(nl.driverOf(n)).type == GateType::Comb) {
+            producer[n] = nl.driverOf(n);
         }
-        consumers[producer].push_back(
-            static_cast<uint32_t>(consumer_node));
-        ++indegree[consumer_node];
+    }
+
+    // Every dependency edge producer -> consumer, one per input (a net
+    // read twice is two edges), gates first, then read addresses.
+    auto forEachEdge = [&](auto &&edge) {
+        for (GateId g = 0; g < nGates; ++g) {
+            const Gate &gate = nl.gate(g);
+            if (gate.type != GateType::Comb)
+                continue;
+            const unsigned arity = gateArity(gate.kind);
+            for (unsigned i = 0; i < arity; ++i) {
+                if (gate.in[i] != kNoNet && producer[gate.in[i]] != kSource)
+                    edge(producer[gate.in[i]], g);
+            }
+        }
+        for (MemId m = 0; m < nl.numMemories(); ++m) {
+            for (NetId a : nl.memory(m).readAddr) {
+                if (a != kNoNet && producer[a] != kSource)
+                    edge(producer[a], nGates + m);
+            }
+        }
     };
 
-    for (GateId g = 0; g < nl.numGates(); ++g) {
-        const Gate &gate = nl.gate(g);
-        if (gate.type != GateType::Comb)
+    // Consumers of each node as CSR, each node's list in edge order.
+    std::vector<uint32_t> offsets(total + 1, 0);
+    std::vector<uint32_t> indegree(total, 0);
+    forEachEdge([&](uint32_t p, uint32_t c) {
+        ++offsets[p + 1];
+        ++indegree[c];
+    });
+    for (uint32_t n = 0; n < total; ++n)
+        offsets[n + 1] += offsets[n];
+    std::vector<uint32_t> consumers(offsets[total]);
+    std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+    forEachEdge([&](uint32_t p, uint32_t c) { consumers[cursor[p]++] = c; });
+
+    // Kahn's algorithm. Every node enters the FIFO once, so the queue
+    // is one array and the schedule is its contents.
+    std::vector<uint32_t> queue;
+    queue.reserve(total);
+    size_t schedulable = 0;
+    for (uint32_t n = 0; n < total; ++n) {
+        if (n < nGates && nl.gate(n).type != GateType::Comb)
             continue;
-        const unsigned arity = gateArity(gate.kind);
-        for (unsigned i = 0; i < arity; ++i)
-            add_dep(gate.in[i], ns.gateNode(g));
+        ++schedulable;
+        if (indegree[n] == 0)
+            queue.push_back(n);
     }
-    for (MemId m = 0; m < nl.numMemories(); ++m) {
-        for (NetId a : nl.memory(m).readAddr)
-            add_dep(a, ns.memNode(m));
-    }
-
-    // Kahn's algorithm.
-    std::deque<size_t> ready;
-    for (size_t n = 0; n < ns.total(); ++n) {
-        if (schedulable[n] && indegree[n] == 0)
-            ready.push_back(n);
-    }
-
-    std::vector<EvalStep> order;
-    order.reserve(ns.total());
-    while (!ready.empty()) {
-        size_t n = ready.front();
-        ready.pop_front();
-        if (n < ns.n_gates) {
-            order.push_back(
-                {EvalStep::Kind::Gate, static_cast<uint32_t>(n)});
-        } else {
-            order.push_back(
-                {EvalStep::Kind::MemRead,
-                 static_cast<uint32_t>(n - ns.n_gates)});
-        }
-        for (uint32_t c : consumers[n]) {
-            if (--indegree[c] == 0)
-                ready.push_back(c);
+    for (size_t head = 0; head < queue.size(); ++head) {
+        const uint32_t n = queue[head];
+        for (uint32_t e = offsets[n]; e < offsets[n + 1]; ++e) {
+            if (--indegree[consumers[e]] == 0)
+                queue.push_back(consumers[e]);
         }
     }
-
-    size_t expected = 0;
-    for (size_t n = 0; n < ns.total(); ++n) {
-        if (schedulable[n])
-            ++expected;
-    }
-    if (order.size() != expected) {
+    if (queue.size() != schedulable) {
         GLIFS_FATAL("combinational cycle detected: scheduled ",
-                    order.size(), " of ", expected, " nodes");
+                    queue.size(), " of ", schedulable, " nodes");
+    }
+
+    std::vector<EvalStep> order(queue.size());
+    for (size_t i = 0; i < queue.size(); ++i) {
+        order[i] = queue[i] < nGates
+                       ? EvalStep{EvalStep::Kind::Gate, queue[i]}
+                       : EvalStep{EvalStep::Kind::MemRead,
+                                  queue[i] - nGates};
     }
     return order;
 }

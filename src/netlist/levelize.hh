@@ -28,7 +28,10 @@ struct EvalStep
 };
 
 /**
- * Compute the combinational evaluation schedule.
+ * Compute the combinational evaluation schedule: Kahn's FIFO order
+ * over the gates, then the read ports, each node's consumers visited
+ * in netlist order. The compiler's unit assignment follows this exact
+ * order (tests pin it on the IoT430).
  * @throws FatalError if the netlist contains a combinational cycle.
  */
 std::vector<EvalStep> levelize(const Netlist &nl);

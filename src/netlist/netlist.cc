@@ -11,8 +11,6 @@ Netlist::addNet(const std::string &name)
 {
     NetId id = static_cast<NetId>(nets.size());
     nets.push_back(Net{name, static_cast<GateId>(-1)});
-    if (!name.empty())
-        netByName.emplace(name, id);
     return id;
 }
 
@@ -135,13 +133,6 @@ Netlist::markOutput(NetId net, const std::string &name)
 {
     GLIFS_ASSERT(net < nets.size(), "bad output net");
     outputList.emplace_back(net, name);
-}
-
-NetId
-Netlist::findNet(const std::string &name) const
-{
-    auto it = netByName.find(name);
-    return it == netByName.end() ? kNoNet : it->second;
 }
 
 } // namespace glifs

@@ -15,7 +15,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "logic/ternary.hh"
@@ -171,11 +170,8 @@ class Netlist
     const std::vector<std::pair<NetId, std::string>> &
     outputs() const { return outputList; }
 
-    /** All flip-flop gate ids, in creation order. */
+    /** All flip-flop gate ids, in creation (so ascending) order. */
     const std::vector<GateId> &dffs() const { return dffList; }
-
-    /** Look up a named net; kNoNet if absent. */
-    NetId findNet(const std::string &name) const;
 
     /** Resolve the driver gate of a net (invalid id if none). */
     GateId driverOf(NetId net) const { return nets[net].driver; }
@@ -210,7 +206,6 @@ class Netlist
     std::vector<NetId> inputList;
     std::vector<std::pair<NetId, std::string>> outputList;
     std::vector<GateId> dffList;
-    std::unordered_map<std::string, NetId> netByName;
     NetId const0 = kNoNet;
     NetId const1 = kNoNet;
 

@@ -1,12 +1,15 @@
 /**
  * @file
- * Unit tests for the netlist IR, builder, levelization, validation,
- * memory taint semantics (with a differential fuzz of the plane memory
- * model against a per-cell reference), stats and DOT export.
+ * Unit tests for the netlist IR, builder, levelization (with a
+ * differential against the reference Kahn on random netlists),
+ * validation, memory taint semantics (with a differential fuzz of the
+ * plane memory model against a per-cell reference), stats and DOT
+ * export.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <random>
 
 #include "base/bitutil.hh"
@@ -30,8 +33,7 @@ TEST(Netlist, AddGatesAndNets)
     NetId b = nl.addInput("b");
     NetId o = nl.addComb(GateKind::And, a, b, kNoNet, "o");
     EXPECT_EQ(nl.numGates(), 3u);
-    EXPECT_EQ(nl.findNet("o"), o);
-    EXPECT_EQ(nl.findNet("missing"), kNoNet);
+    EXPECT_EQ(nl.net(o).name, "o");
     EXPECT_EQ(nl.gate(nl.driverOf(o)).kind, GateKind::And);
 }
 
@@ -81,25 +83,21 @@ TEST(Levelize, DetectsCombCycle)
     Netlist nl;
     NetId a = nl.addNet("a");
     NetId b = nl.addComb(GateKind::Not, a);
-    // Close the loop: another NOT from b driving... we need a's driver
-    // to be a comb gate consuming b. Build via a second gate and then
-    // hack the first gate's input.
-    NetId c = nl.addComb(GateKind::Not, b);
-    (void)c;
+    nl.addComb(GateKind::Not, b);
     // a has no driver, so no cycle yet; levelize succeeds.
     EXPECT_NO_THROW(levelize(nl));
 
-    // A genuine cycle: x = NOT y, y = NOT x.
-    Netlist nl2;
-    NetId x_in = nl2.addNet("seed");
-    NetId x = nl2.addComb(GateKind::Not, x_in);
-    NetId y = nl2.addComb(GateKind::Not, x);
-    // Rewire the first gate to consume y: cycle. There is no public
-    // rewire API, so emulate with a mux whose both inputs form a loop
-    // is impossible; instead check FatalError via a DFF-free SCC built
-    // from two muxes sharing nets.
-    (void)y;
-    SUCCEED();
+    // Gates only read existing nets, so a comb loop must pass through
+    // a memory read port: drive a with a ROM whose address is NOT a.
+    MemoryDecl rom;
+    rom.name = "rom";
+    rom.width = 1;
+    rom.words = 2;
+    rom.writable = false;
+    rom.readAddr = {b};
+    rom.readData = {a};
+    nl.addMemory(rom);
+    EXPECT_THROW(levelize(nl), FatalError);
 }
 
 TEST(Levelize, DffBreaksCycle)
@@ -110,6 +108,190 @@ TEST(Levelize, DffBreaksCycle)
     NetId nq = nl.addComb(GateKind::Not, ff.q);
     nl.connectDff(ff.gate, nq, nl.constNet(false), nl.constNet(true));
     EXPECT_NO_THROW(levelize(nl));
+}
+
+namespace ref
+{
+
+/**
+ * A plain Kahn levelization, levelize()'s differential reference: one
+ * consumer vector per node and a deque of ready nodes.
+ * Node numbering is [0, nGates) gates, then the memories' read ports;
+ * each node's consumers are listed in netlist order, one entry per
+ * input edge (duplicates included).
+ */
+std::vector<EvalStep>
+levelize(const Netlist &nl)
+{
+    const size_t nGates = nl.numGates();
+    const size_t total = nGates + nl.numMemories();
+    std::vector<bool> schedulable(total, false);
+    for (GateId g = 0; g < nGates; ++g)
+        schedulable[g] = nl.gate(g).type == GateType::Comb;
+    for (size_t n = nGates; n < total; ++n)
+        schedulable[n] = true;
+
+    std::vector<std::vector<uint32_t>> consumers(total);
+    std::vector<uint32_t> indegree(total, 0);
+    auto add_dep = [&](NetId input_net, size_t consumer_node) {
+        if (input_net == kNoNet)
+            return;
+        size_t producer;
+        if (nl.memDriven(input_net)) {
+            producer = nGates + nl.memDriver(input_net);
+        } else {
+            GateId d = nl.driverOf(input_net);
+            if (d == static_cast<GateId>(-1) ||
+                nl.gate(d).type != GateType::Comb)
+                return;
+            producer = d;
+        }
+        consumers[producer].push_back(
+            static_cast<uint32_t>(consumer_node));
+        ++indegree[consumer_node];
+    };
+    for (GateId g = 0; g < nGates; ++g) {
+        const Gate &gate = nl.gate(g);
+        if (gate.type != GateType::Comb)
+            continue;
+        for (unsigned i = 0; i < gateArity(gate.kind); ++i)
+            add_dep(gate.in[i], g);
+    }
+    for (MemId m = 0; m < nl.numMemories(); ++m) {
+        for (NetId a : nl.memory(m).readAddr)
+            add_dep(a, nGates + m);
+    }
+
+    std::deque<size_t> ready;
+    for (size_t n = 0; n < total; ++n) {
+        if (schedulable[n] && indegree[n] == 0)
+            ready.push_back(n);
+    }
+    std::vector<EvalStep> order;
+    while (!ready.empty()) {
+        const size_t n = ready.front();
+        ready.pop_front();
+        if (n < nGates)
+            order.push_back({EvalStep::Kind::Gate,
+                             static_cast<uint32_t>(n)});
+        else
+            order.push_back({EvalStep::Kind::MemRead,
+                             static_cast<uint32_t>(n - nGates)});
+        for (uint32_t c : consumers[n]) {
+            if (--indegree[c] == 0)
+                ready.push_back(c);
+        }
+    }
+    size_t expected = 0;
+    for (size_t n = 0; n < total; ++n)
+        expected += schedulable[n];
+    if (order.size() != expected)
+        GLIFS_FATAL("combinational cycle detected");
+    return order;
+}
+
+} // namespace ref
+
+/**
+ * A random netlist over inputs, constants, undriven nets and
+ * flip-flops: comb gates read earlier nets (the same net on several
+ * inputs included), and a few memories, ROM or writable, put their
+ * read data among them. A read address reads only nets older than its
+ * port's data, so the netlist is acyclic; with @p cycle, memory 0's
+ * address also reads a gate fed by its own data.
+ */
+Netlist
+randomNetlist(uint32_t seed, bool cycle)
+{
+    static const GateKind kinds[] = {
+        GateKind::Buf, GateKind::Not,  GateKind::And,
+        GateKind::Nand, GateKind::Or,  GateKind::Nor,
+        GateKind::Xor, GateKind::Xnor, GateKind::Mux,
+    };
+    std::mt19937 rng(seed);
+    Netlist nl;
+    std::vector<NetId> pool;
+    auto pick = [&] { return pool[rng() % pool.size()]; };
+    for (int i = 0; i < 3; ++i)
+        pool.push_back(nl.addInput("in" + std::to_string(i)));
+    pool.push_back(nl.constNet(false));
+    pool.push_back(nl.constNet(true));
+    for (int i = 0; i < 2; ++i)
+        pool.push_back(nl.addNet());
+    std::vector<DffHandle> ffs;
+    for (int i = 0; i < 4; ++i) {
+        ffs.push_back(nl.addDff("q" + std::to_string(i)));
+        pool.push_back(ffs.back().q);
+    }
+
+    struct Port
+    {
+        std::vector<NetId> addr;
+        std::vector<NetId> data;
+    };
+    std::vector<Port> ports;
+    const size_t steps = 40 + rng() % 160;
+    for (size_t step = 0; step < steps; ++step) {
+        if (ports.size() < 3 &&
+            (rng() % 32 == 0 || (ports.empty() && step == steps / 2))) {
+            Port p;
+            for (unsigned b = 0, n = 2 + rng() % 2; b < n; ++b)
+                p.addr.push_back(pick());
+            for (unsigned b = 0; b < 3; ++b) {
+                p.data.push_back(nl.addNet());
+                pool.push_back(p.data.back());
+            }
+            ports.push_back(std::move(p));
+            continue;
+        }
+        const GateKind kind = kinds[rng() % 9];
+        const unsigned arity = gateArity(kind);
+        const NetId a = pick();
+        const NetId b = arity >= 2 ? pick() : kNoNet;
+        const NetId c = arity >= 3 ? pick() : kNoNet;
+        pool.push_back(nl.addComb(kind, a, b, c));
+    }
+    if (cycle)
+        ports[0].addr[0] = nl.addComb(GateKind::Not, ports[0].data[0]);
+
+    for (const DffHandle &ff : ffs)
+        nl.connectDff(ff.gate, pick(), pick(), pick());
+    for (size_t i = 0; i < ports.size(); ++i) {
+        MemoryDecl decl;
+        decl.name = "m" + std::to_string(i);
+        decl.width = 3;
+        decl.words = 4;
+        decl.writable = rng() % 2 == 0;
+        decl.readAddr = ports[i].addr;
+        decl.readData = ports[i].data;
+        if (decl.writable) {
+            decl.writeAddr = {pick(), pick()};
+            decl.writeData = {pick(), pick(), pick()};
+            decl.writeEn = pick();
+        }
+        nl.addMemory(decl);
+    }
+    return nl;
+}
+
+TEST(Levelize, MatchesReferenceKahnOnRandomNetlists)
+{
+    for (uint32_t seed = 1; seed <= 300; ++seed) {
+        const Netlist nl = randomNetlist(seed, false);
+        const std::vector<EvalStep> want = ref::levelize(nl);
+        const std::vector<EvalStep> got = levelize(nl);
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].kind, want[i].kind)
+                << "seed " << seed << " step " << i;
+            ASSERT_EQ(got[i].index, want[i].index)
+                << "seed " << seed << " step " << i;
+        }
+
+        const Netlist looped = randomNetlist(seed, true);
+        EXPECT_THROW(ref::levelize(looped), FatalError) << "seed " << seed;
+        EXPECT_THROW(levelize(looped), FatalError) << "seed " << seed;
+    }
 }
 
 TEST(Builder, ReduceTrees)

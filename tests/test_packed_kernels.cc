@@ -9,7 +9,8 @@
  * input -- so the kernel tests enumerate *every* input combination of
  * every gate kind, packed across lanes so the same pass also proves
  * lane independence. dffNextKernel() is pinned against dffNext() over
- * all 6^4 x 2 (d, rst, en, q, rstVal) combinations.
+ * all 6^4 x 2 (d, rst, en, q, rstVal) combinations. The IoT430's
+ * levelized order and compiled program are pinned field by field.
  */
 
 #include <gtest/gtest.h>
@@ -232,6 +233,119 @@ TEST(CompiledNetlist, SocProgramInvariantsHold)
         EXPECT_EQ(dw.rstVal & ~dw.laneMask, 0u);
     }
     EXPECT_EQ(dffLanes, nl.dffs().size());
+}
+
+/** FNV-1a over whole integers, so struct padding never enters it. */
+class FieldHash
+{
+  public:
+    FieldHash &
+    add(uint64_t v)
+    {
+        for (unsigned i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+        return *this;
+    }
+
+    FieldHash &
+    add(const OpRange &r)
+    {
+        return add(r.begin).add(r.end);
+    }
+
+    uint64_t value() const { return h; }
+
+  private:
+    uint64_t h = 0xcbf29ce484222325ULL;
+};
+
+/** Hash of a vector's length and of @p fields folded per element. */
+template <typename T, typename Fields>
+uint64_t
+hashEach(const std::vector<T> &v, Fields fields)
+{
+    FieldHash h;
+    h.add(v.size());
+    for (const T &x : v)
+        fields(h, x);
+    return h.value();
+}
+
+template <typename T>
+uint64_t
+hashInts(const std::vector<T> &v)
+{
+    return hashEach(v, [](FieldHash &h, T x) {
+        h.add(static_cast<uint64_t>(x));
+    });
+}
+
+TEST(CompiledNetlist, SocProgramIsPinned)
+{
+    // The schedule, unit assignment, slot permutation and gather
+    // programs decide every simulated settle, and with them the sim.*
+    // stats and reports: a change to how they are built must leave each
+    // field at its hash. Re-pin only for an intended program change.
+    Soc soc;
+    const std::vector<EvalStep> order = levelize(soc.netlist());
+    const CompiledNetlist cn = compileNetlist(soc.netlist(), order);
+
+    EXPECT_EQ(hashEach(order,
+                       [](FieldHash &h, const EvalStep &s) {
+                           h.add(static_cast<uint64_t>(s.kind))
+                               .add(s.index);
+                       }),
+              0xdd8f3b614a212141ULL);
+    EXPECT_EQ(cn.planeWords, 189u);
+    EXPECT_EQ(cn.sourceWords, 9u);
+    EXPECT_EQ(cn.combLanes, 2865u);
+    EXPECT_EQ(hashEach(cn.ops,
+                       [](FieldHash &h, const PlaneOp &op) {
+                           h.add(op.word).add(op.rot).add(op.mask);
+                       }),
+              0x1f18e4303b93eec6ULL);
+    EXPECT_EQ(hashEach(cn.batches,
+                       [](FieldHash &h, const PackedBatch &b) {
+                           h.add(static_cast<uint64_t>(b.kind))
+                               .add(b.arity)
+                               .add(b.lanes)
+                               .add(b.outWord)
+                               .add(b.laneMask)
+                               .add(b.gather[0])
+                               .add(b.gather[1])
+                               .add(b.gather[2]);
+                       }),
+              0x7c32b1f3bf350302ULL);
+    EXPECT_EQ(hashEach(cn.units,
+                       [](FieldHash &h, const EvalUnit &u) {
+                           h.add(static_cast<uint64_t>(u.kind))
+                               .add(u.index);
+                       }),
+              0xf3454259d4c5c7b1ULL);
+    EXPECT_EQ(hashEach(cn.dffWords,
+                       [](FieldHash &h, const DffWord &dw) {
+                           h.add(dw.lanes)
+                               .add(dw.qWord)
+                               .add(dw.laneMask)
+                               .add(dw.rstVal)
+                               .add(dw.gatherD)
+                               .add(dw.gatherRst)
+                               .add(dw.gatherEn);
+                       }),
+              0xa5ad8e456fc7e6d8ULL);
+    EXPECT_EQ(hashInts(cn.unitOfMem), 0xa6d57a48ae15d831ULL);
+    EXPECT_EQ(hashInts(cn.memReadWord), 0xb59e63c4a2f10351ULL);
+    EXPECT_EQ(hashInts(cn.producerUnit), 0x4e9d78ae0d8d5dc0ULL);
+    EXPECT_EQ(hashInts(cn.slotOfNet), 0x429cd8a66f9d839eULL);
+    EXPECT_EQ(hashInts(cn.slotNet), 0xfbc84cd8d26349ebULL);
+    EXPECT_EQ(hashInts(cn.readerOffsets), 0xd9eee9549565b79dULL);
+    EXPECT_EQ(hashEach(cn.readers,
+                       [](FieldHash &h, const WordReader &r) {
+                           h.add(r.target).add(r.lanes);
+                       }),
+              0x74cbe610d86a4ae2ULL);
 }
 
 TEST(PackedEvalState, PlanesRoundTripEverySignal)
